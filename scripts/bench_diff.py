@@ -119,6 +119,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="exit 1 when any metric regressed beyond "
                              "the tolerance")
     args = parser.parse_args(argv)
+    for path in (args.old, args.new):
+        if not path.exists():
+            print(f"bench_diff: no such file: {path}", file=sys.stderr)
+            return 2
 
     total_regressions = 0
     for name, old_file, new_file in pair_up(args.old, args.new):

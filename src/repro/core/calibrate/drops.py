@@ -33,18 +33,22 @@ maximum (1, 2, 5, 6, 8) the screen is exact — it finds evidence iff
 the loop would — so the original loop (which builds the evidence
 objects) only runs when there is evidence to report, which calibrated
 traces almost never have.  Check 4's screen is a conservative superset
-(any retransmission at all); check 7's receiver-side contiguity merge
-has no cheap vector bound and keeps its loop unconditionally.
+(any retransmission at all).  Check 7 has no cheap vector bound, so it
+stays unscreened scalar code on both backends; its receiver-side
+contiguity merge is an O(n log n) heap frontier.  The frontier is an
+unwrapped integer, so like ``columns.rel`` it assumes every arrival and
+ack lies within 2**31 of it.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from repro.tcp.params import TCPBehavior
 from repro.trace.columns import numpy_module
 from repro.trace.record import Trace, TraceRecord
-from repro.units import seq_diff, seq_gt, seq_le, seq_lt
+from repro.units import seq_diff, seq_gt, seq_lt
 
 #: Sentinel for "no sequence value yet" in screen running maxima —
 #: far below any unwrapped sequence number.
@@ -208,30 +212,41 @@ def check_stretch_ack_gap(trace: Trace, flow) -> list[DropEvidence]:
 
     Receiver-vantage version of check 1: the acking endpoint's own
     outbound acks can only cover data the trace shows arriving.
+
+    The contiguous arrival boundary is a reassembly frontier.  Each
+    arrival joins a min-heap keyed by its start, unwrapped against the
+    frontier; after each arrival, every waiting segment starting at or
+    below the frontier is popped and raises it to its end.  The
+    frontier only rises (merges and evidence resyncs both move it up),
+    so a popped segment can never move it again and is dropped for
+    good.  Each arrival is pushed and popped once: O(n log n).
     """
     evidence = []
     reverse = flow.reversed()
     rcv_high = None    # highest contiguous arrival boundary seen
-    seen: list[tuple[int, int]] = []
+    high = 0           # rcv_high unwrapped: an integer that only rises
+    # (start, end, raw end) of arrivals not yet merged, unwrapped
+    waiting: list[tuple[int, int, int]] = []
     for record in trace:
         if record.flow == flow and (record.payload > 0 or record.is_syn
                                     or record.is_fin):
-            seen.append((record.seq, record.seq_end))
             if rcv_high is None:
                 rcv_high = record.seq_end
-            changed = True
-            while changed:
-                changed = False
-                for start, end in seen:
-                    if seq_le(start, rcv_high) and seq_gt(end, rcv_high):
-                        rcv_high = end
-                        changed = True
+                continue
+            heapq.heappush(waiting, (high + seq_diff(record.seq, rcv_high),
+                                     high + seq_diff(record.seq_end, rcv_high),
+                                     record.seq_end))
+            while waiting and waiting[0][0] <= high:
+                _, end, raw_end = heapq.heappop(waiting)
+                if end > high:
+                    high, rcv_high = end, raw_end
         elif record.flow == reverse and record.has_ack and not record.is_syn:
             if rcv_high is not None and seq_gt(record.ack, rcv_high):
                 evidence.append(DropEvidence(
                     "stretch_ack_gap", record.timestamp,
                     f"ack {record.ack} covers data never recorded "
                     f"arriving (recorded through {rcv_high})", record))
+                high += seq_diff(record.ack, rcv_high)
                 rcv_high = record.ack
     return evidence
 
