@@ -427,9 +427,8 @@ class _Replay:
             return Classification(record, "flight")
         if seq != model.snd_una:
             # A retransmission of something other than the oldest
-            # outstanding data: only flight-style senders do this.
-            if self.behavior.retransmit_whole_flight:
-                return None
+            # outstanding data: only flight-style senders do this, and
+            # their resends were matched against flight_resend_next.
             return None
         if (self.behavior.fast_retransmit and model.expected_fast_rexmit
                 and time - model.expected_fast_rexmit_time <= QUIRK_WINDOW):
@@ -496,7 +495,14 @@ QUENCH_TRIAL_PACKETS = 12
 
 
 class _QuenchTrial:
-    """A tentative quench hypothesis awaiting verification."""
+    """A tentative quench hypothesis awaiting verification.
+
+    Built by :func:`_quench_inference` only once it commits to the
+    hypothesis, right before the quench is applied: everything the
+    inference does before that point only reads replay state, so the
+    snapshot equals the state at the top of the replay step, at a
+    fraction of the clones (most hypotheses are rejected up front).
+    """
 
     def __init__(self, state: _Replay, start_index: int):
         self.start_index = start_index
@@ -565,12 +571,11 @@ def _replay(pass_one: SenderPassOne, behavior: TCPBehavior,
                 and trial is None and index not in no_quench_at:
             # The packet is permitted but long overdue (or inexplicable):
             # hypothesize an unseen source quench (§6.2), subject to the
-            # next packets replaying consistently.
-            candidate_trial = _QuenchTrial(state, index)
-            quenched = _quench_inference(state, record)
+            # next packets replaying consistently.  The trial snapshots
+            # the replay state only if the hypothesis is taken.
+            quenched = _quench_inference(state, record, index)
             if quenched is not None:
-                classification = quenched
-                trial = candidate_trial
+                classification, trial = quenched
         if classification is None:
             classification = _lookahead(state, record)
         if classification is None and seq_gt(record.seq, model.snd_nxt):
@@ -635,11 +640,16 @@ def _lookahead(state: _Replay, record: TraceRecord) -> Classification | None:
     return None
 
 
-def _quench_inference(state: _Replay,
-                      record: TraceRecord) -> Classification | None:
+def _quench_inference(state: _Replay, record: TraceRecord, index: int
+                      ) -> tuple[Classification, _QuenchTrial] | None:
     """Source-quench inference (§6.2): a long unexplained sending lull,
     after which the send pattern is consistent with the stack's
-    quench response, indicates an unseen ICMP source quench."""
+    quench response, indicates an unseen ICMP source quench.
+
+    On success, returns the packet's classification together with the
+    trial that can roll the quench back (*index* is the packet's
+    position, where a rollback resumes).
+    """
     behavior = state.behavior
     if behavior.quench_response not in (
             QuenchResponse.SLOW_START,
@@ -667,16 +677,20 @@ def _quench_inference(state: _Replay,
         return None
     # Consistent with a quench between the liberating ack and this
     # packet: apply the stack's quench response at the liberation time
-    # so subsequent replay tracks the collapsed window.
+    # so subsequent replay tracks the collapsed window.  Snapshot first:
+    # nothing above has changed the replay state.
+    trial = _QuenchTrial(state, index)
     model.apply_quench(liberated)
     state.analysis.inferred_quenches.append(liberated)
     if seq_le(record.seq_end, model.allowed_high()):
-        return Classification(record, "new", response_delay=None,
-                              note="consistent with unseen source quench")
-    # Even one segment would not fit: retract nothing, but report the
-    # packet as in-window anyway (the quench window starts at snd_una).
+        note = "consistent with unseen source quench"
+    else:
+        # Even one segment would not fit: retract nothing, but report
+        # the packet as in-window anyway (the quench window starts at
+        # snd_una).
+        note = "source quench inferred; window rebuilding"
     return Classification(record, "new", response_delay=None,
-                          note="source quench inferred; window rebuilding")
+                          note=note), trial
 
 
 def _infer_sender_window(behavior: TCPBehavior, facts: ConnectionFacts,

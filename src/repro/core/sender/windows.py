@@ -18,6 +18,7 @@ everything the ledger permits is a window violation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from repro.tcp import params as P
@@ -49,17 +50,22 @@ class WindowLedger:
     def __init__(self, initial_time: float, initial_high: int):
         self._entries: list[Liberation] = [Liberation(initial_time,
                                                       initial_high)]
+        #: ``seq_diff(entry.high, entries[0].high)`` for each entry, in
+        #: step with ``_entries``: the keys permissible_since bisects.
+        self._offsets: list[int] = [0]
 
     def clone(self) -> "WindowLedger":
         """An independent copy sharing the (immutable) entries.
 
         Entry objects are frozen and the ledger only ever replaces or
-        appends them, so a shallow list copy gives full isolation at a
-        fraction of a deep copy's cost — this runs once per quench
-        trial, squarely on the identification hot path.
+        appends them (and their offsets are ints), so shallow list
+        copies give full isolation at a fraction of a deep copy's
+        cost.  This runs each time the analyzer commits to a quench
+        hypothesis, which snapshots the whole model first.
         """
         dup = WindowLedger.__new__(WindowLedger)
         dup._entries = self._entries[:]
+        dup._offsets = self._offsets[:]
         return dup
 
     @property
@@ -70,6 +76,7 @@ class WindowLedger:
         """The window now permits sending up to *high*."""
         if seq_gt(high, self.current_high):
             self._entries.append(Liberation(time, high))
+            self._offsets.append(seq_diff(high, self._entries[0].high))
 
     def shrink(self, high: int) -> None:
         """The window collapsed: only sequence numbers up to *high*
@@ -79,37 +86,39 @@ class WindowLedger:
         stays permissible — since the moment the (now removed) advance
         first crossed it.
         """
+        entries = self._entries
+        offsets = self._offsets
         crossed_at: float | None = None
-        while len(self._entries) > 1 and seq_gt(self._entries[-1].high, high):
-            crossed_at = self._entries.pop().time
-        if seq_gt(self._entries[0].high, high):
-            self._entries[0] = Liberation(self._entries[0].time, high)
+        while len(entries) > 1 and seq_gt(entries[-1].high, high):
+            crossed_at = entries.pop().time
+            offsets.pop()
+        if seq_gt(entries[0].high, high):
+            entries[0] = Liberation(entries[0].time, high)
+            # Every offset is measured from the first entry's high.
+            self._offsets = [seq_diff(entry.high, high) for entry in entries]
         elif crossed_at is not None and seq_lt(self.current_high, high):
-            self._entries.append(Liberation(crossed_at, high))
+            entries.append(Liberation(crossed_at, high))
+            offsets.append(seq_diff(high, entries[0].high))
 
     def permissible_since(self, seq_end: int) -> float | None:
         """When sending a packet ending at *seq_end* first became
         permissible, or None if it is not permitted at all.
 
         Entries are strictly increasing in sequence order, so the
-        first entry whose ``high`` covers *seq_end* is found by binary
-        search on the distance from the oldest entry — the ledger
-        grows with the connection, and a linear scan here turns long
-        replays quadratic.
+        first entry whose ``high`` covers *seq_end* is found by
+        bisecting the cached offsets from the oldest entry — the
+        ledger grows with the connection, and a linear scan here turns
+        long replays quadratic.  ``bisect_left`` tests the same
+        ``offset >= target`` predicate at the same probes as a
+        hand-written binary search would, so it returns the same index
+        even for a ledger whose offsets are not sorted.
         """
         entries = self._entries
-        base = entries[0].high
-        target = seq_diff(seq_end, base)
-        lo, hi = 0, len(entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if seq_diff(entries[mid].high, base) >= target:
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo == len(entries):
+        index = bisect_left(self._offsets,
+                            seq_diff(seq_end, entries[0].high))
+        if index == len(entries):
             return None
-        return entries[lo].time
+        return entries[index].time
 
 
 class SenderModel:
@@ -166,10 +175,11 @@ class SenderModel:
     def clone(self) -> "SenderModel":
         """A fully independent snapshot of the model state.
 
-        Scalars are copied wholesale; the four mutable containers get
-        their own shallow copies (their elements — frozen records,
-        frozen ledger entries, ints, floats — are never mutated in
-        place).  Quench trials snapshot the model before every
+        Scalars are copied wholesale; the two containers (the
+        retransmitted-starts set and the first-send map, which hold
+        only ints and floats) get shallow copies, and the window
+        ledger and RTO estimator their own ``clone()``.  The analyzer
+        snapshots the model each time it commits to a quench
         hypothesis, so this must stay cheap: a ``copy.deepcopy`` here
         once dominated the entire identification run.
         """
@@ -233,9 +243,12 @@ class SenderModel:
 
     def _advance(self, ack: int, time: float) -> None:
         behavior = self.behavior
-        acked_rexmit = any(seq_lt(s, ack) for s in self._rexmitted_starts)
-        self._rexmitted_starts = {s for s in self._rexmitted_starts
-                                  if seq_ge(s, ack)}
+        acked_rexmit = False
+        if self._rexmitted_starts:
+            acked_rexmit = any(seq_lt(s, ack)
+                               for s in self._rexmitted_starts)
+            self._rexmitted_starts = {s for s in self._rexmitted_starts
+                                      if seq_ge(s, ack)}
         if self._timing_seq is not None and seq_ge(ack, self._timing_seq):
             self.estimator.sample(time - self._timing_start,
                                   for_retransmitted=False)
@@ -316,22 +329,22 @@ class SenderModel:
                      is_retransmission: bool) -> None:
         """Account for an observed data transmission."""
         time = record.timestamp
+        seq, end = record.seq, record.seq_end
         if is_retransmission:
-            self.mark_retransmitted(record.seq)
+            self.mark_retransmitted(seq)
             if (self._timing_seq is not None
-                    and seq_lt(record.seq, self._timing_seq)):
+                    and seq_lt(seq, self._timing_seq)):
                 self._timing_seq = None
         else:
-            if record.seq not in self._first_sent:
-                self._first_sent[record.seq] = time
+            if seq not in self._first_sent:
+                self._first_sent[seq] = time
             if self._timing_seq is None:
-                self._timing_seq = record.seq_end
+                self._timing_seq = end
                 self._timing_start = time
-            if seq_gt(record.seq_end, self.highest_sent):
-                self.highest_sent = record.seq_end
-        if record.seq == self.snd_nxt and seq_gt(record.seq_end,
-                                                 self.snd_nxt):
-            self.snd_nxt = record.seq_end
+            if seq_gt(end, self.highest_sent):
+                self.highest_sent = end
+        if seq == self.snd_nxt and seq_gt(end, self.snd_nxt):
+            self.snd_nxt = end
 
     def mark_retransmitted(self, seq: int) -> None:
         self._rexmitted_starts.add(seq)

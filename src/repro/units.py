@@ -61,24 +61,31 @@ def seq_diff(a: int, b: int) -> int:
     return d
 
 
+# The comparisons below run millions of times per identification run,
+# so each tests the residue ``(a - b) % 2**32`` against 2**31 inline
+# rather than calling seq_diff: ``seq_diff(a, b) < 0`` exactly when the
+# residue is at least 2**31, and ``== 0`` exactly when it is 0.
+
+
 def seq_lt(a: int, b: int) -> bool:
     """True if sequence number *a* precedes *b* (RFC 793 comparison)."""
-    return seq_diff(a, b) < 0
+    return (a - b) % 2**32 >= 2**31
 
 
 def seq_le(a: int, b: int) -> bool:
     """True if sequence number *a* precedes or equals *b*."""
-    return seq_diff(a, b) <= 0
+    d = (a - b) % 2**32
+    return d == 0 or d >= 2**31
 
 
 def seq_gt(a: int, b: int) -> bool:
     """True if sequence number *a* follows *b*."""
-    return seq_diff(a, b) > 0
+    return 0 < (a - b) % 2**32 < 2**31
 
 
 def seq_ge(a: int, b: int) -> bool:
     """True if sequence number *a* follows or equals *b*."""
-    return seq_diff(a, b) >= 0
+    return (a - b) % 2**32 < 2**31
 
 
 def seq_max(a: int, b: int) -> int:

@@ -1,11 +1,14 @@
 """WindowLedger and SenderModel unit behavior."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.sender.windows import SenderModel, WindowLedger
+from repro.core.sender.windows import Liberation, SenderModel, WindowLedger
 from repro.packets import ACK, Endpoint
 from repro.trace.record import TraceRecord
 from repro.tcp.catalog import RENO, SOLARIS_23, TAHOE, get_behavior
+from repro.units import seq_diff, seq_gt, seq_lt
 
 
 def make_record(t, ack, window=65535, payload=0, seq=1):
@@ -75,6 +78,104 @@ class TestWindowLedger:
         ledger.shrink(400)
         assert ledger.current_high == 400
         assert ledger.permissible_since(400) == 0.0
+
+
+class OracleLedger:
+    """The ledger as a plain list with a hand-written binary search:
+    the reference the cached-offset ``bisect`` lookup must match."""
+
+    def __init__(self, initial_time, initial_high):
+        self.entries = [Liberation(initial_time, initial_high)]
+
+    def advance(self, time, high):
+        if seq_gt(high, self.entries[-1].high):
+            self.entries.append(Liberation(time, high))
+
+    def shrink(self, high):
+        entries = self.entries
+        crossed_at = None
+        while len(entries) > 1 and seq_gt(entries[-1].high, high):
+            crossed_at = entries.pop().time
+        if seq_gt(entries[0].high, high):
+            entries[0] = Liberation(entries[0].time, high)
+        elif crossed_at is not None and seq_lt(entries[-1].high, high):
+            entries.append(Liberation(crossed_at, high))
+
+    def permissible_since(self, seq_end):
+        entries = self.entries
+        base = entries[0].high
+        target = seq_diff(seq_end, base)
+        lo, hi = 0, len(entries)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if seq_diff(entries[mid].high, base) >= target:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo == len(entries):
+            return None
+        return entries[lo].time
+
+
+#: Sequence numbers within 64 KB either side of the 2**32 wrap.
+near_wrap = st.integers(min_value=2**32 - 65536,
+                        max_value=2**32 + 65535).map(lambda s: s % 2**32)
+#: Steps from the current high of up to half the sequence space: a
+#: few advances by nearly 2**31 build adversarial ledgers whose
+#: entries are not monotone when measured from the first one.
+any_step = st.one_of(st.sampled_from([2**31 - 1, 2**30 + 1, 1, -1]),
+                     st.integers(min_value=-(2**31), max_value=2**31))
+ledger_ops = st.lists(st.one_of(
+    st.tuples(st.just("advance"), near_wrap),
+    st.tuples(st.just("shrink"), near_wrap),
+    st.tuples(st.just("query"), near_wrap),
+    st.tuples(st.just("clone"), st.just(0)),
+), max_size=60)
+
+
+class TestLedgerAgainstOracle:
+    def run(self, initial, ops, relative=False):
+        ledger = WindowLedger(0.0, initial)
+        oracle = OracleLedger(0.0, initial)
+        originals = []
+        for time, (op, seq) in enumerate(ops, start=1):
+            if relative:
+                seq = (oracle.entries[-1].high + seq) % 2**32
+            if op == "advance":
+                ledger.advance(float(time), seq)
+                oracle.advance(float(time), seq)
+            elif op == "shrink":
+                ledger.shrink(seq)
+                oracle.shrink(seq)
+            elif op == "clone":
+                # Carry on with the clone; the original must not change.
+                originals.append((ledger, list(ledger._entries),
+                                  list(ledger._offsets)))
+                ledger = ledger.clone()
+            assert ledger._entries == oracle.entries
+            base = oracle.entries[0].high
+            assert ledger._offsets == [seq_diff(e.high, base)
+                                       for e in oracle.entries]
+            probes = {seq}
+            for entry in oracle.entries:
+                probes.update(((entry.high - 1) % 2**32, entry.high,
+                               (entry.high + 1) % 2**32))
+            for probe in probes:
+                assert (ledger.permissible_since(probe)
+                        == oracle.permissible_since(probe))
+            for original, entries, offsets in originals:
+                assert original._entries == entries
+                assert original._offsets == offsets
+
+    @given(near_wrap, ledger_ops)
+    def test_near_the_wrap(self, initial, ops):
+        self.run(initial, ops)
+
+    @given(near_wrap, st.lists(st.tuples(
+        st.sampled_from(["advance", "shrink", "query"]), any_step),
+        max_size=40))
+    def test_adversarial_non_monotone(self, initial, ops):
+        self.run(initial, ops, relative=True)
 
 
 class TestSenderModelAcks:

@@ -82,3 +82,31 @@ class TestSequenceArithmetic:
     @given(seqs, seqs)
     def test_min_max_complementary(self, a, b):
         assert {seq_min(a, b), seq_max(a, b)} == {a, b}
+
+
+anything = st.integers()   # negatives and values >= 2**32 included
+#: Distances at and around the half-space and full-space boundaries.
+boundary_deltas = st.sampled_from([
+    -SEQ_SPACE, -(2**31) - 1, -(2**31), -(2**31) + 1, -1, 0, 1,
+    2**31 - 1, 2**31, 2**31 + 1, SEQ_SPACE])
+
+
+def assert_comparisons_match_seq_diff(a, b):
+    diff = seq_diff(a, b)
+    assert seq_lt(a, b) == (diff < 0)
+    assert seq_le(a, b) == (diff <= 0)
+    assert seq_gt(a, b) == (diff > 0)
+    assert seq_ge(a, b) == (diff >= 0)
+
+
+class TestComparisonsMatchSeqDiff:
+    """The comparisons skip the seq_diff call; they must agree with
+    its sign for every pair of ints, not just valid sequence numbers."""
+
+    @given(anything, anything)
+    def test_arbitrary_ints(self, a, b):
+        assert_comparisons_match_seq_diff(a, b)
+
+    @given(anything, boundary_deltas)
+    def test_half_space_boundaries(self, b, delta):
+        assert_comparisons_match_seq_diff(b + delta, b)
