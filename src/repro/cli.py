@@ -202,7 +202,6 @@ def _command_demux(args: argparse.Namespace) -> int:
     jsonl_lines: list[str] = []
     for flow_report in analyze_stream(
             args.trace, identify=args.identify, stats=stats,
-            tolerant=True,
             idle_timeout=args.idle_timeout, max_flows=args.max_flows,
             syn_only=not args.no_syn_only):
         flows += 1

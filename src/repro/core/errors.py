@@ -35,16 +35,22 @@ stringified exception:
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 
 #: Every kind a quarantined payload's ``error_kind`` may carry.
 ERROR_KINDS = ("decode", "io", "model", "timeout", "crash", "cancelled")
+
+#: Kinds that may be transient, or depend on one run's timeout budget:
+#: never cached or journaled, so the next run (or a restarted daemon)
+#: retries them.
+TRANSIENT_KINDS = frozenset({"io", "timeout", "crash", "cancelled"})
 
 
 class AnalysisError(Exception):
     """A classified per-trace analysis failure.
 
     ``kind`` is one of :data:`ERROR_KINDS`; ``stage`` optionally names
-    the analysis stage that raised (see :func:`annotate_stage`).
+    the analysis stage that raised (see :func:`stage`).
     """
 
     def __init__(self, kind: str, message: str, stage: str | None = None):
@@ -66,14 +72,19 @@ class AnalysisError(Exception):
         return fields
 
 
-def annotate_stage(error: BaseException, stage: str) -> None:
-    """Tag *error* with the analysis stage it escaped from.
+@contextmanager
+def stage(name: str):
+    """Tag any exception escaping the block with analysis stage *name*.
 
-    The first (innermost) annotation wins; re-raising through outer
-    stages must not relabel the failure.
+    The exception still propagates.  The first (innermost) tag wins;
+    re-raising through outer stages must not relabel the failure.
     """
-    if getattr(error, "analysis_stage", None) is None:
-        error.analysis_stage = stage
+    try:
+        yield
+    except Exception as error:
+        if getattr(error, "analysis_stage", None) is None:
+            error.analysis_stage = name
+        raise
 
 
 def classify_exception(error: BaseException) -> AnalysisError:

@@ -15,7 +15,7 @@ from repro.trace.record import Trace
 
 from repro.core.calibrate import CalibrationReport, calibrate_trace
 from repro.core.engine import IdentificationEngine
-from repro.core.errors import annotate_stage
+from repro.core.errors import stage
 from repro.core.fit import FitReport, ReceiverFit
 from repro.core.receiver.analyzer import (
     ReceiverAnalysis,
@@ -137,66 +137,52 @@ def analyze_trace(trace: Trace, behavior: TCPBehavior | None = None,
     Pass-one fact extraction runs **once** per trace: the behavior
     check and the identification engine replay against the same shared
     facts.  *engine* threads a caller-owned
-    :class:`~repro.core.engine.IdentificationEngine` through (the
-    batch and stream pipelines reuse one across all their traces); by
-    default a module-level shared engine is used.
+    :class:`~repro.core.engine.IdentificationEngine` through; by
+    default the module-level shared engine (which holds no per-trace
+    state) serves every trace and flow in the process.
     """
     vantage = infer_vantage(trace)
     want_analysis = behavior is not None or identify
     sender_pass_one = receiver_pass_one = None
-    # Stage annotations: an exception escaping any analysis stage is
-    # tagged with the stage name so the pipeline's quarantine payload
-    # can say *where* a pathological trace broke the model, not just
-    # that it did.  The exceptions themselves still propagate.
+    # Each stage tags an exception escaping it with the stage's name,
+    # so the pipeline's quarantine payload can say *where* a
+    # pathological trace broke the model, not just that it did.
     if want_analysis and vantage == "sender":
-        try:
-            sender_pass_one = extract_pass_one(trace)
-        except (TraceUnusable, ValueError):
-            pass
-        except Exception as error:
-            annotate_stage(error, "sender pass one")
-            raise
+        with stage("sender pass one"):
+            try:
+                sender_pass_one = extract_pass_one(trace)
+            except (TraceUnusable, ValueError):
+                pass
     elif want_analysis:
-        try:
-            receiver_pass_one = extract_receiver_pass_one(
-                trace, headers_only)
-        except ValueError:
-            pass
-        except Exception as error:
-            annotate_stage(error, "receiver pass one")
-            raise
+        with stage("receiver pass one"):
+            try:
+                receiver_pass_one = extract_receiver_pass_one(
+                    trace, headers_only)
+            except ValueError:
+                pass
     sender_analysis = None
     if behavior is not None and vantage == "sender" \
             and sender_pass_one is not None:
-        try:
+        with stage("sender analysis"):
             sender_analysis = analyze_sender(None, behavior,
                                              pass_one=sender_pass_one)
-        except Exception as error:
-            annotate_stage(error, "sender analysis")
-            raise
     # Calibration's behavior-dependent checks reuse the replay above
     # instead of re-running the sender analyzer on the same trace.
-    try:
+    with stage("calibration"):
         calibration = calibrate_trace(trace, behavior, peer_trace,
                                       sender_analysis=sender_analysis)
-    except Exception as error:
-        annotate_stage(error, "calibration")
-        raise
     report = TraceReport(vantage=vantage, calibration=calibration,
                          sender=sender_analysis)
     if behavior is not None and vantage != "sender" \
             and receiver_pass_one is not None:
-        try:
+        with stage("receiver analysis"):
             report.receiver = analyze_receiver(
                 None, behavior, headers_only=headers_only,
                 pass_one=receiver_pass_one)
-        except Exception as error:
-            annotate_stage(error, "receiver analysis")
-            raise
     if identify:
         if engine is None:
             engine = default_engine()
-        try:
+        with stage("identification"):
             if vantage == "sender":
                 report.identification = engine.identify_sender(
                     trace, pass_one=sender_pass_one)
@@ -208,7 +194,4 @@ def analyze_trace(trace: Trace, behavior: TCPBehavior | None = None,
             else:
                 report.receiver_identification = engine.identify_receiver(
                     trace, pass_one=receiver_pass_one)
-        except Exception as error:
-            annotate_stage(error, "identification")
-            raise
     return report

@@ -193,8 +193,8 @@ def evaluate_capture(path: str | FilePath,
     """
     stats = IngestStats()
     try:
-        reports = list(analyze_stream(path, identify=True, tolerant=True,
-                                      stats=stats, addresses=addresses))
+        reports = list(analyze_stream(path, identify=True, stats=stats,
+                                      addresses=addresses))
     except Exception as error:  # noqa: BLE001 - the gate itself
         trace_tail = traceback.format_exc(limit=3)
         return ("unclassified",

@@ -7,7 +7,7 @@ on-disk result cache keyed by trace content and catalog version.
 machine-readable results and a Table-1-style summary.
 
 The resilience layer keeps corpus-scale runs alive through anything a
-single trace can do: :class:`SupervisedPool` survives worker crashes
+single trace can do: :class:`PoolSession` survives worker crashes
 and enforces per-trace timeouts, every failure is quarantined as a
 classified :class:`~repro.core.errors.AnalysisError` payload instead
 of aborting the batch, and :class:`BatchJournal` checkpoints completed
@@ -20,7 +20,6 @@ from repro.pipeline.journal import BatchJournal
 from repro.pipeline.report import aggregate_report, result_line, write_jsonl
 from repro.pipeline.resilience import (
     PoolSession,
-    SupervisedPool,
     error_payload,
 )
 from repro.pipeline.runner import (
@@ -43,7 +42,6 @@ __all__ = [
     "BatchResult",
     "PoolSession",
     "ResultCache",
-    "SupervisedPool",
     "TraceResult",
     "aggregate_report",
     "analyze_item",

@@ -32,9 +32,12 @@ sharing ``n % workers`` execute on the same worker in submission
 order.  The serve scheduler shards by connection-key hash so one
 connection's flows never race each other.
 
-:class:`SupervisedPool` is the original fixed-batch interface, now a
-thin generator wrapper over one session per ``run()`` — the existing
-resilience test suite exercises the session through it.
+Worker functions never raise: :func:`run_guarded` wraps the analysis
+of one item, fires the fault-injection plan, and folds any escaping
+exception into a classified error payload.  The batch runner (pool or
+in-process) and the serve scheduler both build their workers from it.
+A fixed batch is just a session fed everything up front and then
+drained (:func:`repro.pipeline.run_batch`).
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from repro.core.errors import AnalysisError
+from repro.core.errors import AnalysisError, classify_exception
+from repro.harness.faults import FaultPlan
 
 #: Seconds the supervisor blocks on the result queue before running a
 #: health check (liveness + timeouts) over the in-flight set.
@@ -71,14 +75,40 @@ def error_payload(item, error: AnalysisError,
     return payload
 
 
+def run_guarded(analyze: Callable[[object], list[dict]], index: int,
+                item, attempt: int,
+                fault_plan: FaultPlan | None = None) -> list[dict]:
+    """One unit of pool work: *analyze* the item; never raises.
+
+    Fires the fault-injection plan (if any) first, then folds anything
+    that escapes into a classified error payload — so the only ways a
+    worker can fail to produce payloads are the ones the supervisor
+    diagnoses from outside: a process death or a kill.  Bind
+    *analyze* and *fault_plan* with ``functools.partial`` to get a
+    :class:`PoolSession` worker function.
+    """
+    substituted = None
+    try:
+        if fault_plan is not None:
+            original_path = getattr(item, "path", None)
+            item = fault_plan.apply(item, index, attempt)
+            if getattr(item, "path", None) != original_path:
+                substituted = item.path   # corrupt fault's temp copy
+        return analyze(item)
+    except Exception as error:
+        return [error_payload(item, classify_exception(error))]
+    finally:
+        if substituted is not None:
+            substituted.unlink(missing_ok=True)
+
+
 def _worker_main(worker_id: int, task_queue, result_conn,
                  worker_fn) -> None:
     """One worker: pull (index, item, attempt), analyze, post result.
 
-    *worker_fn* is expected to classify its own exceptions into error
-    payloads; anything that still escapes (a defect in the guard
-    itself) is converted here so a worker never dies of an exception —
-    only of a genuine crash or an external kill.
+    *worker_fn* must not raise (build it with :func:`run_guarded`); an
+    exception that escapes anyway ends the worker, and the supervisor
+    diagnoses that like any other crash.
 
     Results go out over a per-worker pipe, not a shared queue, and
     the ``send`` is synchronous: when it returns, the message is in
@@ -104,9 +134,6 @@ def _worker_main(worker_id: int, task_queue, result_conn,
             payloads = worker_fn(index, item, attempt)
         except KeyboardInterrupt:
             return
-        except Exception as error:  # last-ditch: keep the worker alive
-            from repro.core.errors import classify_exception
-            payloads = [error_payload(item, classify_exception(error))]
         try:
             result_conn.send((worker_id, index, payloads,
                               time.perf_counter() - start))
@@ -141,10 +168,10 @@ class _Slot:
 class PoolSession:
     """A long-lived supervised pool: submit work anytime, poll results.
 
-    Unlike :meth:`SupervisedPool.run`, the total amount of work need
-    not be known up front; :attr:`outstanding` tracks what has been
-    submitted but not yet resolved.  Callers drive the session with a
-    loop of ``submit``/``poll`` and finish with :meth:`close`.
+    The total amount of work need not be known up front;
+    :attr:`outstanding` tracks what has been submitted but not yet
+    resolved.  Callers drive the session with ``submit`` and ``poll``
+    (or :meth:`drain`) and finish with :meth:`close`.
     """
 
     def __init__(self, workers: int,
@@ -447,53 +474,3 @@ class PoolSession:
             self._spawn(slot_no)
         self._pump()
         return results
-
-
-class SupervisedPool:
-    """Fan a fixed task list over worker processes; survive crashes.
-
-    The original batch-mode interface: one :meth:`run` per pool,
-    total work known up front, results yielded as a generator.  Each
-    run is a :class:`PoolSession` underneath.
-    """
-
-    def __init__(self, workers: int,
-                 worker_fn: Callable[[int, object, int], list[dict]],
-                 timeout: float | None = None,
-                 retries: int = 2,
-                 poll: float = POLL_INTERVAL):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, not {workers}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, not {retries}")
-        self._workers = workers
-        self._worker_fn = worker_fn
-        self._timeout = timeout
-        self._retries = retries
-        self._poll = poll
-
-    def run(self, tasks: list[tuple[int, object]]
-            ) -> Iterator[tuple[int, list[dict], float]]:
-        """Yield ``(index, payloads, elapsed)`` per task, as completed.
-
-        Results arrive in completion order; the caller restores input
-        order (the pipeline sorts by trace name anyway).  The pool is
-        torn down — gracefully after a complete run, forcibly when the
-        consumer abandons the generator — before the generator exits.
-        """
-        total = len(tasks)
-        if total == 0:
-            return
-        session = PoolSession(min(self._workers, total), self._worker_fn,
-                              timeout=self._timeout,
-                              retries=self._retries, poll=self._poll)
-        done = 0
-        try:
-            for index, item in tasks:
-                session.submit(index, item)
-            while done < total:
-                for result in session.poll():
-                    done += 1
-                    yield result
-        finally:
-            session.close(graceful=done >= total)

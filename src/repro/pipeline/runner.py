@@ -21,13 +21,16 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.errors import classify_exception
+from repro.core.errors import TRANSIENT_KINDS, classify_exception
 from repro.core.report import analyze_trace
 from repro.harness.corpus import WrittenCorpusEntry
 from repro.harness.faults import FaultPlan
 from repro.pipeline.cache import ResultCache, file_digest, trace_digest
 from repro.pipeline.journal import BatchJournal
-from repro.pipeline.resilience import SupervisedPool, error_payload
+from repro.pipeline.resilience import PoolSession, error_payload, run_guarded
+from repro.stream import build_flow_report, demux_records, flow_payload
+from repro.stream.reader import iter_pcap
+from repro.stream.stats import IngestStats
 from repro.tcp.catalog import CATALOG
 from repro.trace.pcap import read_pcap
 from repro.trace.record import Trace
@@ -147,74 +150,53 @@ def memory_items(entries: list[WrittenCorpusEntry]) -> list[BatchItem]:
 
 
 def analyze_item(item: BatchItem) -> dict:
-    """Analyze one trace: the per-process unit of batch work.
+    """Eager analysis: the whole trace in memory, one payload.
 
-    A damaged or non-pcap trace must not abort a corpus-scale run, so
-    *every* per-trace failure — bad framing, an unreadable file, a
-    ``KeyError`` or ``RecursionError`` the wild trace tickled out of
-    the model — becomes a classified error payload (``error_kind``:
-    decode/io/model); the aggregate report counts them and the JSONL
-    line records the reason.
+    Failures propagate; :func:`run_batch`'s worker guard
+    (:func:`~repro.pipeline.resilience.run_guarded`) turns each into a
+    classified error payload (``error_kind``: decode/io/model), so a
+    damaged trace never aborts a corpus-scale run.
     """
+    trace = item.trace if item.trace is not None else read_pcap(item.path)
+    report = analyze_trace(trace, identify=True)
     payload = {
         "trace": item.name,
         "implementation": item.implementation,
+        "records": len(trace),
     }
-    try:
-        trace = item.trace if item.trace is not None \
-            else read_pcap(item.path)
-        report = analyze_trace(trace, identify=True)
-    except Exception as error:
-        payload.update(classify_exception(error).to_fields())
-        return payload
-    payload["records"] = len(trace)
     payload.update(report.to_dict())
     return payload
+
+
+def _eager_payloads(item: BatchItem) -> list[dict]:
+    return [analyze_item(item)]
 
 
 def analyze_item_stream(item: BatchItem) -> list[dict]:
     """Streamed analysis: one payload per demultiplexed connection.
 
-    The streaming path (``iter_pcap`` → flow table → ``analyze_trace``)
-    fans a multi-connection capture out into per-connection payloads;
-    a single-connection capture keeps the item's own name, so corpus
-    aggregates match the eager path.  Every payload carries the
-    capture's ingest statistics.  Per-flow analysis runs tolerantly: a
-    poisonous connection quarantines itself (``error_kind`` in its
-    payload) without sinking the capture's other flows, and a failure
-    of the capture itself (unreadable, not a pcap) quarantines the
-    whole item.
+    The item's records (decoded incrementally from its capture, or
+    taken from its in-memory trace) go through the flow table, and
+    each connection is analyzed on its own.  A single-connection
+    capture keeps the item's own name, so corpus aggregates match the
+    eager path.  Every payload carries the capture's ingest
+    statistics.  A poisonous connection quarantines itself
+    (``error_kind`` in its payload) without sinking the capture's
+    other flows; a failure of the capture itself (unreadable, not a
+    pcap) propagates to the worker guard, which quarantines the whole
+    item.
     """
-    from repro.stream import (
-        FlowReport,
-        IngestStats,
-        analyze_stream,
-        build_flow_report,
-        flow_payload,
-    )
-    from repro.stream.flowtable import demux_records
-
     stats = IngestStats()
-    flow_reports: list[FlowReport] = []
-    try:
-        if item.trace is not None:
-            for flow in demux_records(item.trace.records, stats=stats):
-                flow_reports.append(build_flow_report(flow, identify=True,
-                                                      tolerant=True))
-        else:
-            flow_reports = list(analyze_stream(item.path, identify=True,
-                                               stats=stats, tolerant=True))
-    except Exception as error:
-        payload = {"trace": item.name,
-                   "implementation": item.implementation}
-        payload.update(classify_exception(error).to_fields())
-        return [payload]
+    records = item.trace.records if item.trace is not None \
+        else iter_pcap(item.path, stats=stats)
+    flow_reports = [build_flow_report(flow, identify=True)
+                    for flow in demux_records(records, stats=stats)]
+    ingest = stats.to_dict()
     if not flow_reports:
         return [{"trace": item.name, "implementation": item.implementation,
                  "error": "no connections demultiplexed",
                  "error_kind": "decode",
-                 "ingest": stats.to_dict()}]
-    ingest = stats.to_dict()
+                 "ingest": ingest}]
     payloads = []
     for flow_report in flow_reports:
         name = item.name if len(flow_reports) == 1 \
@@ -226,38 +208,8 @@ def analyze_item_stream(item: BatchItem) -> list[dict]:
     return payloads
 
 
-def _guarded_payloads(index: int, item: BatchItem, attempt: int,
-                      stream: bool = False,
-                      fault_plan: FaultPlan | None = None) -> list[dict]:
-    """The worker-side unit of batch work; never raises.
-
-    Applies the fault-injection plan (if any), runs the eager or
-    streamed analysis, and classifies anything that escapes — so the
-    only ways a worker can fail to produce payloads are the ones the
-    supervisor handles from outside: a process death or a kill.
-    """
-    substituted = None
-    try:
-        if fault_plan is not None:
-            original_path = item.path
-            item = fault_plan.apply(item, index, attempt)
-            if item.path != original_path:
-                substituted = item.path   # corrupt fault's temp copy
-        return analyze_item_stream(item) if stream else [analyze_item(item)]
-    except Exception as error:
-        return [error_payload(item, classify_exception(error))]
-    finally:
-        if substituted is not None:
-            substituted.unlink(missing_ok=True)
-
-
-#: Error kinds that may be transient (or depend on the run's timeout
-#: budget): never cached, so the next run retries them.
-_TRANSIENT_KINDS = frozenset({"io", "timeout", "crash"})
-
-
 def _cacheable(payloads: list[dict]) -> bool:
-    return all(payload.get("error_kind") not in _TRANSIENT_KINDS
+    return all(payload.get("error_kind") not in TRANSIENT_KINDS
                for payload in payloads)
 
 
@@ -274,7 +226,7 @@ def run_batch(items: list[BatchItem], jobs: int = 1,
     warm-cache run dispatches no analysis work at all.  ``jobs=1``
     (without a timeout) is a plain in-process sequential loop — fully
     deterministic execution order — for debugging; otherwise the
-    cache-miss set fans out over a :class:`SupervisedPool`, which
+    cache-miss set fans out over a :class:`PoolSession`, which
     survives worker crashes (requeue with a *retries* budget, then
     quarantine as ``error_kind: "crash"``) and kills analyses that
     exceed the per-trace wall-clock *timeout* (quarantined as
@@ -346,24 +298,26 @@ def run_batch(items: list[BatchItem], jobs: int = 1,
             results.append(TraceResult(payload["trace"], payload,
                                        cache_hit=False, elapsed=elapsed))
 
-    worker = functools.partial(_guarded_payloads, stream=stream,
-                               fault_plan=fault_plan)
-    if not pending:
-        pass
-    elif jobs == 1 and timeout is None:
+    analyze = analyze_item_stream if stream else _eager_payloads
+    worker = functools.partial(run_guarded, analyze, fault_plan=fault_plan)
+    if jobs == 1 and timeout is None:
         for index, item in enumerate(pending):
             item_start = time.perf_counter()
             payloads = worker(index, item, 0)
             finish(index, payloads, time.perf_counter() - item_start)
-    else:
-        pool = SupervisedPool(min(jobs, len(pending)), worker,
+    elif pending:
+        session = PoolSession(min(jobs, len(pending)), worker,
                               timeout=timeout, retries=retries)
-        runner = pool.run(list(enumerate(pending)))
+        drained = False
         try:
-            for index, payloads, elapsed in runner:
+            for index, item in enumerate(pending):
+                session.submit(index, item)
+            for index, payloads, elapsed in session.drain():
                 finish(index, payloads, elapsed)
+            drained = True
         finally:
-            runner.close()
+            # Graceful after a complete run; forcible when interrupted.
+            session.close(graceful=drained)
 
     results.sort(key=lambda result: result.name)
     return BatchResult(results=results, jobs=jobs,

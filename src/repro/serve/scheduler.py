@@ -17,9 +17,9 @@ name never reuses stale results.
 Analysis failures ride the PR-5/6 taxonomy unchanged: a worker crash
 retries then quarantines as ``crash``, a hang is killed and
 quarantined as ``timeout``, and an in-worker analysis error comes
-back as a classified error payload.  Transient kinds are journaled
-like everything else *except* never — the scheduler skips journaling
-payloads whose kind is transient, so a restart retries them.
+back as a classified error payload.  Payloads of a transient kind
+(:data:`~repro.core.errors.TRANSIENT_KINDS`) are never journaled, so
+a restart retries them.
 
 The scheduler is also where per-source fault isolation plugs in:
 given a :class:`~repro.serve.governor.BreakerBoard`, every polled
@@ -39,17 +39,13 @@ from __future__ import annotations
 import functools
 import zlib
 
-from repro.core.errors import AnalysisError, classify_exception
+from repro.core.errors import TRANSIENT_KINDS, AnalysisError
 from repro.harness.faults import FaultPlan
 from repro.pipeline.cache import trace_digest
 from repro.pipeline.journal import BatchJournal
-from repro.pipeline.resilience import PoolSession, error_payload
+from repro.pipeline.resilience import PoolSession, error_payload, run_guarded
 from repro.serve.governor import BreakerBoard
 from repro.stream import Flow, build_flow_report, flow_payload
-
-#: Error kinds that may be transient: never journaled, so a restarted
-#: daemon re-analyzes them (mirrors the batch cache policy).
-TRANSIENT_KINDS = frozenset({"io", "timeout", "crash", "cancelled"})
 
 #: Error kinds that count against a source's circuit breaker: the
 #: failure took a worker down with it (or held one hostage).
@@ -93,15 +89,13 @@ def analyze_flow_item(index: int, item: FlowWorkItem, attempt: int,
     except that no capture-wide ``ingest`` block is attached (the
     capture is still growing when a live flow completes).
     """
-    try:
-        if fault_plan is not None:
-            item = fault_plan.apply(item, index, attempt)
-        report = build_flow_report(item.flow, identify=True,
-                                   tolerant=True)
-        return [flow_payload(report, item.name,
-                             implementation=item.implementation)]
-    except Exception as error:
-        return [error_payload(item, classify_exception(error))]
+    return run_guarded(_flow_payloads, index, item, attempt, fault_plan)
+
+
+def _flow_payloads(item: FlowWorkItem) -> list[dict]:
+    report = build_flow_report(item.flow, identify=True)
+    return [flow_payload(report, item.name,
+                         implementation=item.implementation)]
 
 
 class FlowScheduler:

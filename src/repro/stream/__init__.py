@@ -10,6 +10,10 @@ the system analyzes, with bounded memory:
 - :class:`FlowTable` / :func:`demux_records` — 4-tuple
   demultiplexing with SYN birth, FIN/RST/idle retirement, and an LRU
   live-flow cap;
+- :func:`build_flow_report` / :func:`flow_payload` — the one
+  per-flow analysis path every caller (batch, serve, ``demux``,
+  fuzz) shares; a flow whose analysis fails becomes an errored
+  :class:`FlowReport`, never an exception;
 - :func:`analyze_stream` / :func:`demux_pcap` — the composed
   pipeline: capture in, per-connection :class:`FlowReport` out;
 - :class:`IngestStats` — the accounting layer every stage reports

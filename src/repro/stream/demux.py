@@ -16,13 +16,11 @@ from dataclasses import dataclass
 from pathlib import Path as FilePath
 from typing import Iterator
 
-from repro.core.engine import IdentificationEngine
 from repro.core.errors import AnalysisError, classify_exception
 from repro.core.report import TraceReport, analyze_trace
 from repro.stream.flowtable import Flow, demux_records
 from repro.stream.reader import iter_pcap
 from repro.stream.stats import IngestStats
-from repro.tcp.params import TCPBehavior
 from repro.trace.wire import AddressMap
 
 
@@ -30,10 +28,10 @@ from repro.trace.wire import AddressMap
 class FlowReport:
     """One demultiplexed connection plus its analysis report.
 
-    In tolerant mode a connection whose analysis failed still yields a
-    FlowReport — *report* is None and *error* carries the classified
-    failure, so one poisonous connection quarantines itself instead of
-    sinking every other flow in the capture.
+    A connection whose analysis failed still yields a FlowReport —
+    *report* is None and *error* carries the classified failure, so
+    one poisonous connection quarantines itself instead of sinking
+    every other flow in the capture.
     """
 
     flow: Flow
@@ -62,25 +60,15 @@ class FlowReport:
         return payload
 
 
-def build_flow_report(flow: Flow,
-                      behavior: TCPBehavior | None = None,
-                      identify: bool = False,
-                      headers_only: bool = False,
-                      engine: IdentificationEngine | None = None,
-                      tolerant: bool = False) -> FlowReport:
+def build_flow_report(flow: Flow, identify: bool = False) -> FlowReport:
     """Analyze one completed flow into a :class:`FlowReport`.
 
-    With *tolerant* set, an analysis failure is classified and
-    returned as an errored report instead of propagating.
+    An analysis failure is classified and returned as an errored
+    report instead of propagating.
     """
     try:
-        report = analyze_trace(flow.to_trace(), behavior,
-                               identify=identify,
-                               headers_only=headers_only,
-                               engine=engine)
+        report = analyze_trace(flow.to_trace(), identify=identify)
     except Exception as error:
-        if not tolerant:
-            raise
         return FlowReport(flow=flow, report=None,
                           error=classify_exception(error))
     return FlowReport(flow=flow, report=report)
@@ -109,7 +97,6 @@ def flow_payload(flow_report: FlowReport, trace_name: str,
 def demux_pcap(path: str | FilePath,
                addresses: AddressMap | None = None,
                stats: IngestStats | None = None,
-               strict: bool = False,
                **table_options) -> Iterator[Flow]:
     """Stream a pcap file into completed flows, one at a time.
 
@@ -119,33 +106,22 @@ def demux_pcap(path: str | FilePath,
     """
     stats = stats if stats is not None else IngestStats()
     yield from demux_records(
-        iter_pcap(path, addresses=addresses, stats=stats, strict=strict),
+        iter_pcap(path, addresses=addresses, stats=stats),
         stats=stats, **table_options)
 
 
 def analyze_stream(path: str | FilePath,
-                   behavior: TCPBehavior | None = None,
                    identify: bool = False,
-                   headers_only: bool = False,
                    addresses: AddressMap | None = None,
                    stats: IngestStats | None = None,
-                   strict: bool = False,
-                   engine: IdentificationEngine | None = None,
-                   tolerant: bool = False,
                    **table_options) -> Iterator[FlowReport]:
     """Analyze every connection in *path*, yielding reports lazily.
 
     Peak memory is bounded by the live-flow set, not the capture
     length: each flow is analyzed and released as soon as it
-    completes.  A single identification engine (the caller's, or one
-    built here) serves every flow in the capture.  With *tolerant*, a
-    flow whose analysis fails yields an errored FlowReport instead of
-    aborting the remaining connections.
+    completes.  A flow whose analysis fails yields an errored
+    FlowReport instead of aborting the remaining connections.
     """
-    if identify and engine is None:
-        engine = IdentificationEngine()
     for flow in demux_pcap(path, addresses=addresses, stats=stats,
-                           strict=strict, **table_options):
-        yield build_flow_report(flow, behavior, identify=identify,
-                                headers_only=headers_only, engine=engine,
-                                tolerant=tolerant)
+                           **table_options):
+        yield build_flow_report(flow, identify=identify)

@@ -1,5 +1,8 @@
 """The combined tcpanaly report."""
 
+import pytest
+
+from repro.core.errors import classify_exception
 from repro.core.report import analyze_trace
 from repro.tcp.catalog import get_behavior
 
@@ -58,3 +61,34 @@ class TestAnalyzeTrace:
         report = analyze_trace(cached_transfer("reno").sender_trace)
         assert report.sender is None
         assert report.calibration is not None
+
+
+#: Every ``analyze_trace`` stage: (error_stage tag, the call it wraps,
+#: the trace side that reaches it).  The tag is written to JSONL.
+STAGES = [
+    ("sender pass one", "repro.core.report.extract_pass_one", "sender"),
+    ("receiver pass one", "repro.core.report.extract_receiver_pass_one",
+     "receiver"),
+    ("sender analysis", "repro.core.report.analyze_sender", "sender"),
+    ("calibration", "repro.core.report.calibrate_trace", "sender"),
+    ("receiver analysis", "repro.core.report.analyze_receiver", "receiver"),
+    ("identification",
+     "repro.core.engine.IdentificationEngine.identify_sender", "sender"),
+]
+
+
+class TestStageTags:
+    @pytest.mark.parametrize("stage, target, side", STAGES,
+                             ids=[stage for stage, _t, _s in STAGES])
+    def test_escaping_error_names_its_stage(self, stage, target, side,
+                                            monkeypatch):
+        def explode(*args, **kwargs):
+            raise KeyError("stage defect")
+        monkeypatch.setattr(target, explode)
+        transfer = cached_transfer("reno")
+        trace = getattr(transfer, f"{side}_trace")
+        with pytest.raises(KeyError) as caught:
+            analyze_trace(trace, get_behavior("reno"), identify=True)
+        error = classify_exception(caught.value)
+        assert error.kind == "model"
+        assert error.stage == stage

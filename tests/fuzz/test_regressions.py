@@ -81,8 +81,8 @@ class TestTruncatedMssOption:
         path.write_bytes(render_pcap(mangled))
         stats = IngestStats()
         # Pre-fix this raised struct.error out of the whole pipeline.
-        list(analyze_stream(path, identify=False, tolerant=True,
-                            stats=stats, addresses=addresses))
+        list(analyze_stream(path, identify=False, stats=stats,
+                            addresses=addresses))
         assert stats.decode_errors == 2       # both option-carrying SYNs
         assert stats.records_decoded == len(frames) - 2
 
@@ -133,8 +133,8 @@ class TestSequenceWraparound:
         path = tmp_path / "wrap.pcap"
         path.write_bytes(render_pcap(frames))
         stats = IngestStats()
-        reports = list(analyze_stream(path, identify=False, tolerant=True,
-                                      stats=stats, addresses=addresses))
+        reports = list(analyze_stream(path, identify=False, stats=stats,
+                                      addresses=addresses))
         assert stats.records_decoded == len(trace)
         assert len(reports) == 1
         report = reports[0]

@@ -8,8 +8,7 @@ import pytest
 from repro.core.errors import AnalysisError, classify_exception
 from repro.harness.corpus import write_corpus
 from repro.harness.faults import FaultPlan, FaultSpec
-from repro.pipeline import PoolSession, SupervisedPool, corpus_items, \
-    run_batch
+from repro.pipeline import PoolSession, corpus_items, run_batch
 from repro.pipeline.resilience import error_payload
 
 
@@ -29,6 +28,10 @@ def _crash_once_worker(index, item, attempt):
     if item.name == "bomb" and attempt == 0:
         os._exit(9)
     return [{"item": item.name, "attempt": attempt}]
+
+
+def _raising_worker(index, item, attempt):
+    raise KeyError("unguarded worker")
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +91,8 @@ class TestTaxonomy:
 
 
 class TestSupervisedPoolHealthy:
+    """``run_batch`` fanned out over a supervised :class:`PoolSession`."""
+
     def test_pool_matches_sequential(self, corpus_dir, clean_payloads):
         batch = run_batch(corpus_items(corpus_dir), jobs=4, timeout=60.0)
         assert {r.name: r.payload for r in batch.results} == clean_payloads
@@ -97,15 +102,23 @@ class TestSupervisedPoolHealthy:
         batch = run_batch(corpus_items(corpus_dir), jobs=1, timeout=60.0)
         assert {r.name: r.payload for r in batch.results} == clean_payloads
 
-    def test_rejects_bad_parameters(self):
+    def test_rejects_bad_parameters(self, corpus_dir):
         with pytest.raises(ValueError):
-            SupervisedPool(0, lambda *a: [])
+            PoolSession(0, _echo_worker)
         with pytest.raises(ValueError):
-            SupervisedPool(1, lambda *a: [], retries=-1)
+            PoolSession(1, _echo_worker, retries=-1)
+        with pytest.raises(ValueError):
+            run_batch(corpus_items(corpus_dir), jobs=0)
+        with pytest.raises(ValueError):
+            run_batch(corpus_items(corpus_dir), jobs=2, retries=-1)
 
     def test_empty_task_list(self):
-        pool = SupervisedPool(2, lambda *a: [])
-        assert list(pool.run([])) == []
+        session = PoolSession(2, _echo_worker)
+        assert list(session.drain()) == []
+        session.close()
+        batch = run_batch([], jobs=2, timeout=60.0)
+        assert batch.results == []
+        assert batch.cache_misses == 0
 
 
 class TestCrashRecovery:
@@ -178,7 +191,7 @@ class TestTimeouts:
 
 
 class TestPoolSession:
-    """The incremental submit/poll substrate under SupervisedPool and
+    """The incremental submit/poll substrate under ``run_batch`` and
     the serve scheduler."""
 
     def test_submit_poll_resolves_every_index_once(self):
@@ -227,6 +240,16 @@ class TestPoolSession:
         assert session.worker_restarts >= 1
         assert results[0] == {"item": "bomb", "attempt": 1}
         assert results[1]["item"] == "after"
+
+    def test_unguarded_exception_is_diagnosed_as_crash(self):
+        session = PoolSession(1, _raising_worker, retries=1)
+        session.submit(0, Job(name="defect"))
+        results = list(session.drain())
+        session.close()
+        (index, payloads, _elapsed), = results
+        assert index == 0
+        assert payloads[0]["error_kind"] == "crash"
+        assert payloads[0]["attempts"] == 2
 
     def test_queue_accounting(self):
         session = PoolSession(1, _echo_worker)

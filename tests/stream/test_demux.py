@@ -108,20 +108,9 @@ class TestTolerantFlowAnalysis:
             raise KeyError("per-flow defect")
         monkeypatch.setattr("repro.stream.demux.analyze_trace", explode)
         flows = list(demux_pcap(path))
-        reports = [build_flow_report(flow, tolerant=True) for flow in flows]
+        reports = [build_flow_report(flow) for flow in flows]
         assert all(r.report is None for r in reports)
         assert all(r.error.kind == "model" for r in reports)
         payload = reports[0].to_dict()
         assert payload["error_kind"] == "model"
         assert "KeyError" in payload["error"]
-
-    def test_strict_flow_failure_propagates(self, interleaved, monkeypatch):
-        from repro.stream import build_flow_report
-        _capture, path, _addresses = interleaved
-
-        def explode(*args, **kwargs):
-            raise KeyError("per-flow defect")
-        monkeypatch.setattr("repro.stream.demux.analyze_trace", explode)
-        flow = next(demux_pcap(path))
-        with pytest.raises(KeyError):
-            build_flow_report(flow)
