@@ -44,25 +44,26 @@ def count_failures(trace, behavior, eager: bool) -> int:
                     SenderAnalysis(behavior.label(), behavior,
                                    pass_one.facts))
     failures = 0
-    for record in state.data:
+    for record, row in zip(pass_one.data, pass_one.data_rows):
+        time = row[0]
         if eager:
-            while state.acks_available_by(record.timestamp):
+            while state.acks_available_by(time):
                 state.feed_ack()
-            classification = state.try_explain(record)
+            classification = state.try_explain(record, row)
         else:
             classification = None
             while classification is None:
-                classification = state.try_explain(record)
+                classification = state.try_explain(record, row)
                 if classification is None:
-                    if state.acks_available_by(record.timestamp):
+                    if state.acks_available_by(time):
                         state.feed_ack()
                     else:
                         break
         if classification is None:
             failures += 1
-            state.model.force_observe(record)
+            state.model.force_observe(time, row[2])
         else:
-            state.apply(classification)
+            state.apply(classification, row)
     return failures
 
 

@@ -75,13 +75,13 @@ def eager_first_inconsistency(trace):
     behavior = get_behavior("tahoe")
     state = _Replay(pass_one, behavior,
                     SenderAnalysis("tahoe", behavior, pass_one.facts))
-    for record in state.data:
-        while state.acks_available_by(record.timestamp):
+    for record, row in zip(pass_one.data, pass_one.data_rows):
+        while state.acks_available_by(row[0]):
             state.feed_ack()
-        classification = state.try_explain(record)
+        classification = state.try_explain(record, row)
         if classification is None:
             return record
-        state.apply(classification)
+        state.apply(classification, row)
     return None
 
 

@@ -109,6 +109,11 @@ class ReceiverPassOne:
     full_size: int
     syn_seq: int
     events: list[TraceRecord]
+    #: ``events`` as plain ``(timestamp, inbound, seq, ack, window,
+    #: payload, fin)`` rows, index for index: what every replay step
+    #: reads.  ``inbound`` marks an arrival on the data flow; the rest
+    #: are the receiver's outbound acks.
+    rows: list[tuple[float, bool, int, int, int, int, bool]]
     discarded: frozenset[int]
     verified_corrupt: list[TraceRecord]
     inferred_corrupt: list[TraceRecord]
@@ -143,12 +148,18 @@ def extract_receiver_pass_one(trace: Trace,
     else:
         verified_corrupt = corruption.verified_discards(trace, flow)
         discarded = frozenset(r.packet_id for r in verified_corrupt)
-    events = [r for r in trace
-              if (r.flow == flow and (r.payload > 0 or r.is_fin))
-              or (r.flow == reverse and r.has_ack and not r.is_syn)]
+    events: list[TraceRecord] = []
+    rows: list[tuple[float, bool, int, int, int, int, bool]] = []
+    for r in trace:
+        inbound = r.flow == flow
+        if ((inbound and (r.payload > 0 or r.is_fin))
+                or (r.flow == reverse and r.has_ack and not r.is_syn)):
+            events.append(r)
+            rows.append((r.timestamp, inbound, r.seq, r.ack, r.window,
+                         r.payload, r.is_fin))
     return ReceiverPassOne(
         flow=flow, full_size=full_size, syn_seq=syn.seq, events=events,
-        discarded=discarded, verified_corrupt=verified_corrupt,
+        rows=rows, discarded=discarded, verified_corrupt=verified_corrupt,
         inferred_corrupt=inferred_corrupt, headers_only=headers_only)
 
 
@@ -184,9 +195,17 @@ def _extract_receiver_pass_one_vector(trace: Trace, columns,
     if reverse_fid >= 0:
         event_mask = event_mask | ((columns.flow_ids == reverse_fid)
                                    & columns.has_ack & ~columns.is_syn)
-    events = columns.records_at(np.flatnonzero(event_mask))
+    event_idx = np.flatnonzero(event_mask)
+    rows = list(zip(columns.timestamp[event_idx].tolist(),
+                    in_flow[event_idx].tolist(),
+                    columns.seq[event_idx].tolist(),
+                    columns.ack[event_idx].tolist(),
+                    columns.window[event_idx].tolist(),
+                    columns.payload[event_idx].tolist(),
+                    columns.is_fin[event_idx].tolist()))
     return ReceiverPassOne(
-        flow=flow, full_size=full_size, syn_seq=syn.seq, events=events,
+        flow=flow, full_size=full_size, syn_seq=syn.seq,
+        events=columns.records_at(event_idx), rows=rows,
         discarded=discarded, verified_corrupt=verified_corrupt,
         inferred_corrupt=inferred_corrupt, headers_only=headers_only)
 
@@ -208,7 +227,6 @@ def analyze_receiver(trace: Trace | None, behavior: TCPBehavior,
     analysis = ReceiverAnalysis(
         implementation=implementation or behavior.label(),
         behavior=behavior)
-    flow = pass_one.flow
     full_size = pass_one.full_size
     analysis.full_size = full_size
     analysis.verified_corrupt = list(pass_one.verified_corrupt)
@@ -222,48 +240,48 @@ def analyze_receiver(trace: Trace | None, behavior: TCPBehavior,
     tracker = ObligationTracker()
     fin_rcv_seq: int | None = None
 
-    events = pass_one.events
+    mandatory_hole_fill = behavior.immediate_ack_on_hole_fill
+    ack_on_consumption = behavior.ack_on_consumption
     last_arrival_time = float("-inf")
-    for record in events:
-        tracker.expire(record.timestamp, MANDATORY_ACK_DEADLINE)
-        if record.flow == flow:
+    for record, (time, inbound, seq, ack, window, payload, fin) in zip(
+            pass_one.events, pass_one.rows):
+        if tracker.pending:
+            tracker.expire(time, MANDATORY_ACK_DEADLINE)
+        if inbound:
             if record.packet_id in discarded:
                 continue  # the kernel dropped it before TCP saw it
-            last_arrival_time = record.timestamp
-            if record.payload == 1 and last_window == 0:
+            last_arrival_time = time
+            if payload == 1 and last_window == 0:
                 # A zero-window probe: rejected, but acked (mandatory).
                 tracker.incur(AckObligation(
-                    record.timestamp, mandatory=True, reason="probe",
+                    time, mandatory=True, reason="probe",
                     covering_ack=rcv_nxt))
                 continue
             rcv_nxt, ooo, fin_rcv_seq = _arrival(
-                record, rcv_nxt, ooo, tracker, full_size,
-                last_ack_value, fin_rcv_seq,
-                behavior.immediate_ack_on_hole_fill,
-                behavior.ack_on_consumption)
+                time, seq, payload, fin, rcv_nxt, ooo, tracker,
+                full_size, last_ack_value, fin_rcv_seq,
+                mandatory_hole_fill, ack_on_consumption)
         else:
             last_ack_value, last_window = _outbound_ack(
-                record, rcv_nxt, last_ack_value, last_window, tracker,
-                full_size, fin_rcv_seq, analysis, last_arrival_time)
+                record, time, ack, window, rcv_nxt, last_ack_value,
+                last_window, tracker, full_size, fin_rcv_seq, analysis,
+                last_arrival_time)
 
     tracker.expire(float("inf"), MANDATORY_ACK_DEADLINE)
     analysis.missed_obligations = tracker.missed
     return analysis
 
 
-def _arrival(record: TraceRecord, rcv_nxt: int,
-             ooo: list[tuple[int, int]], tracker: ObligationTracker,
-             full_size: int, last_ack_value: int,
-             fin_rcv_seq: int | None,
+def _arrival(time: float, seg_start: int, payload: int, fin: bool,
+             rcv_nxt: int, ooo: list[tuple[int, int]],
+             tracker: ObligationTracker, full_size: int,
+             last_ack_value: int, fin_rcv_seq: int | None,
              mandatory_hole_fill: bool = True,
              ack_on_consumption: bool = False):
-    """Update the receiver replica for one arriving data packet and
-    incur the corresponding obligation."""
-    seg_start = record.seq
-    seg_len = record.payload + (1 if record.is_fin else 0)
-    seg_end = (seg_start + seg_len) % 2**32
-    time = record.timestamp
-    if record.is_fin:
+    """Update the receiver replica for one data packet arriving at
+    *time* and incur the corresponding obligation."""
+    seg_end = (seg_start + payload + (1 if fin else 0)) % 2**32
+    if fin:
         fin_rcv_seq = seg_end
 
     if seq_le(seg_end, rcv_nxt):
@@ -290,8 +308,7 @@ def _arrival(record: TraceRecord, rcv_nxt: int,
             rcv_nxt = end
         filled_hole = True
 
-    if record.is_fin or (fin_rcv_seq is not None
-                         and rcv_nxt == fin_rcv_seq):
+    if fin or (fin_rcv_seq is not None and rcv_nxt == fin_rcv_seq):
         tracker.incur(AckObligation(time, mandatory=True, reason="fin",
                                     covering_ack=rcv_nxt,
                                     new_bytes=new_bytes))
@@ -317,15 +334,16 @@ def _arrival(record: TraceRecord, rcv_nxt: int,
     return rcv_nxt, ooo, fin_rcv_seq
 
 
-def _outbound_ack(record: TraceRecord, rcv_nxt: int, last_ack_value: int,
+def _outbound_ack(record: TraceRecord, time: float, ack: int, window: int,
+                  rcv_nxt: int, last_ack_value: int,
                   last_window: int | None, tracker: ObligationTracker,
                   full_size: int, fin_rcv_seq: int | None,
                   analysis: ReceiverAnalysis,
                   last_arrival_time: float = float("-inf")):
-    """Explain one observed outbound ack."""
-    time = record.timestamp
-    acked = seq_diff(record.ack, last_ack_value)
-    window_changed = last_window is not None and record.window != last_window
+    """Explain one observed outbound ack (*record*, whose time, ack
+    number and window the caller has unpacked)."""
+    acked = seq_diff(ack, last_ack_value)
+    window_changed = last_window is not None and window != last_window
     oldest = tracker.oldest_pending_time()
     discharged = tracker.discharge(time)
     delay = (time - oldest) if oldest is not None else None
@@ -342,7 +360,7 @@ def _outbound_ack(record: TraceRecord, rcv_nxt: int, last_ack_value: int,
             explanation = AckExplanation(record, "window_update",
                                          generation_delay=delay,
                                          discharged_reasons=reasons)
-        elif fin_rcv_seq is not None and record.ack == fin_rcv_seq:
+        elif fin_rcv_seq is not None and ack == fin_rcv_seq:
             explanation = AckExplanation(record, "fin_ack",
                                          generation_delay=delay,
                                          discharged_reasons=reasons)
@@ -359,7 +377,7 @@ def _outbound_ack(record: TraceRecord, rcv_nxt: int, last_ack_value: int,
                 record, "gratuitous",
                 note="no obligation, no window change")
             analysis.gratuitous.append(explanation)
-    elif fin_rcv_seq is not None and record.ack == fin_rcv_seq:
+    elif fin_rcv_seq is not None and ack == fin_rcv_seq:
         explanation = AckExplanation(record, "fin_ack", acked_bytes=acked,
                                      generation_delay=delay,
                                      discharged_reasons=reasons)
@@ -379,5 +397,4 @@ def _outbound_ack(record: TraceRecord, rcv_nxt: int, last_ack_value: int,
     analysis.explanations.append(explanation)
     if delay is not None and delay > MAX_ACK_DELAY:
         analysis.delay_ceiling_violations.append(explanation)
-    return (record.ack if seq_gt(record.ack, last_ack_value)
-            else last_ack_value), record.window
+    return (ack if seq_gt(ack, last_ack_value) else last_ack_value), window

@@ -30,6 +30,7 @@ two replays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.packets import FlowKey
 from repro.tcp.params import QuenchResponse, TCPBehavior
@@ -53,9 +54,13 @@ QUENCH_DELAY_THRESHOLD = 0.1
 QUIRK_WINDOW = 0.05
 
 
-@dataclass(frozen=True, slots=True)
-class Classification:
-    """The analyzer's explanation of one observed data packet."""
+class Classification(NamedTuple):
+    """The analyzer's explanation of one observed data packet.
+
+    A named tuple rather than a frozen dataclass: equally immutable
+    and ``__dict__``-free, but about three times cheaper to build, and
+    every replay step builds one.
+    """
 
     record: TraceRecord
     kind: str                        # new/goback/fast_retransmit/timeout/
@@ -114,6 +119,11 @@ class SenderPassOne:
     data: list[TraceRecord]
     #: Reverse-direction acks at/after the SYN-ack, in trace order.
     acks: list[TraceRecord]
+    #: ``data`` as plain ``(timestamp, seq, seq_end, payload)`` rows,
+    #: index for index: what every replay step reads.
+    data_rows: list[tuple[float, int, int, int]]
+    #: ``acks`` as plain ``(timestamp, ack, window, payload)`` rows.
+    ack_rows: list[tuple[float, int, int, int]]
 
 
 @dataclass
@@ -182,6 +192,21 @@ class TraceUnusable(ValueError):
     """The trace lacks what sender analysis needs (handshake, data)."""
 
 
+def _handshake_mss(syn: TraceRecord, synack: TraceRecord
+                   ) -> tuple[int, bool, int]:
+    """The MSS the sender offered, whether the peer offered one, and
+    the negotiated MSS (536 stands in for an absent option)."""
+    offered_mss = syn.mss_option if syn.mss_option is not None else 536
+    peer_offered = synack.mss_option is not None
+    negotiated = min(offered_mss,
+                     synack.mss_option if peer_offered else 536)
+    if negotiated <= 0:
+        # Every candidate's window arithmetic divides by the MSS.
+        raise TraceUnusable(f"the handshake negotiated an MSS of "
+                            f"{negotiated}")
+    return offered_mss, peer_offered, negotiated
+
+
 def extract_pass_one(trace: Trace) -> SenderPassOne:
     """Pass one: facts plus the data/ack timelines, in a single scan.
 
@@ -203,10 +228,7 @@ def extract_pass_one(trace: Trace) -> SenderPassOne:
     if syn is None or synack is None:
         raise TraceUnusable("trace does not contain the SYN handshake")
 
-    offered_mss = syn.mss_option if syn.mss_option is not None else 536
-    peer_offered = synack.mss_option is not None
-    negotiated = min(offered_mss,
-                     synack.mss_option if peer_offered else 536)
+    offered_mss, peer_offered, negotiated = _handshake_mss(syn, synack)
     synack_time = synack.timestamp
 
     highest_sent = (syn.seq + 1) % 2**32
@@ -219,14 +241,19 @@ def extract_pass_one(trace: Trace) -> SenderPassOne:
     fin_seen = False
     data: list[TraceRecord] = []
     acks: list[TraceRecord] = []
+    data_rows: list[tuple[float, int, int, int]] = []
+    ack_rows: list[tuple[float, int, int, int]] = []
     for record in trace:
         if record.flow == flow:
             if record.payload > 0:
+                end = record.seq_end
                 data.append(record)
+                data_rows.append((record.timestamp, record.seq, end,
+                                  record.payload))
                 data_count += 1
-                if seq_gt(record.seq_end, highest_sent):
-                    total_data += seq_diff(record.seq_end, highest_sent)
-                    highest_sent = record.seq_end
+                if seq_gt(end, highest_sent):
+                    total_data += seq_diff(end, highest_sent)
+                    highest_sent = end
                 in_flight = seq_diff(highest_sent, highest_ack)
                 if in_flight > max_in_flight:
                     max_in_flight = in_flight
@@ -240,6 +267,8 @@ def extract_pass_one(trace: Trace) -> SenderPassOne:
         elif record.flow == reverse and record.has_ack:
             if not record.is_syn and record.timestamp >= synack_time:
                 acks.append(record)
+                ack_rows.append((record.timestamp, record.ack,
+                                 record.window, record.payload))
             if seq_gt(record.ack, highest_ack):
                 highest_ack = record.ack
     facts = ConnectionFacts(
@@ -252,7 +281,8 @@ def extract_pass_one(trace: Trace) -> SenderPassOne:
         offered_mss_option=syn.mss_option is not None,
         syn_count=max(syn_count, 1),
         early_peak_flight=early_peak_flight)
-    return SenderPassOne(facts=facts, data=data, acks=acks)
+    return SenderPassOne(facts=facts, data=data, acks=acks,
+                         data_rows=data_rows, ack_rows=ack_rows)
 
 
 def _extract_pass_one_vector(trace: Trace, columns) -> SenderPassOne:
@@ -280,10 +310,7 @@ def _extract_pass_one_vector(trace: Trace, columns) -> SenderPassOne:
     syn = columns.records[syn_i]
     synack = columns.records[synack_i]
 
-    offered_mss = syn.mss_option if syn.mss_option is not None else 536
-    peer_offered = synack.mss_option is not None
-    negotiated = min(offered_mss,
-                     synack.mss_option if peer_offered else 536)
+    offered_mss, peer_offered, negotiated = _handshake_mss(syn, synack)
     synack_time = synack.timestamp
 
     base = syn.seq
@@ -325,9 +352,17 @@ def _extract_pass_one_vector(trace: Trace, columns) -> SenderPassOne:
         offered_mss_option=syn.mss_option is not None,
         syn_count=max(syn_count, 1),
         early_peak_flight=early_peak_flight)
-    return SenderPassOne(facts=facts,
-                         data=columns.records_at(data_idx),
-                         acks=columns.records_at(ack_idx))
+    return SenderPassOne(
+        facts=facts, data=columns.records_at(data_idx),
+        acks=columns.records_at(ack_idx),
+        data_rows=list(zip(columns.timestamp[data_idx].tolist(),
+                           columns.seq[data_idx].tolist(),
+                           columns.seq_end[data_idx].tolist(),
+                           columns.payload[data_idx].tolist())),
+        ack_rows=list(zip(columns.timestamp[ack_idx].tolist(),
+                          columns.ack[ack_idx].tolist(),
+                          columns.window[ack_idx].tolist(),
+                          columns.payload[ack_idx].tolist())))
 
 
 def extract_facts(trace: Trace) -> ConnectionFacts:
@@ -365,21 +400,26 @@ def analyze_sender(trace: Trace | None, behavior: TCPBehavior,
 
 
 class _Replay:
-    """Working state for one replay pass."""
+    """Working state for one replay pass.
+
+    Each step reads pass one's rows, not its records: a data row is
+    ``(timestamp, seq, seq_end, payload)`` and an ack row ``(timestamp,
+    ack, window, payload)``.  The record is only carried along to be
+    named by the step's :class:`Classification`.  Sequence tests in a
+    step use the inline residue forms that ``repro.units`` documents.
+    """
 
     def __init__(self, pass_one: SenderPassOne, behavior: TCPBehavior,
                  analysis: SenderAnalysis):
         facts = pass_one.facts
         self.behavior = behavior
-        self.facts = facts
         self.analysis = analysis
         self.model = SenderModel(
             behavior, facts.negotiated_mss, facts.iss, facts.offered_mss,
             facts.peer_offered_mss_option, facts.synack_time,
             facts.initial_offered_window)
-        # Shared, read-only timelines from pass one.
-        self.acks = pass_one.acks
-        self.data = pass_one.data
+        # Pass one's ack rows, shared read-only by every replay.
+        self.acks = pass_one.ack_rows
         self.next_ack = 0
         self.flight_resend_next: int | None = None
         self.last_send_time = facts.synack_time
@@ -387,40 +427,49 @@ class _Replay:
     # -- ack feeding -------------------------------------------------------
 
     def feed_ack(self) -> None:
-        record = self.acks[self.next_ack]
+        row = self.acks[self.next_ack]
         self.next_ack += 1
-        self.model.process_ack(record)
+        self.model.process_ack(*row)
 
     def acks_available_by(self, time: float) -> bool:
         return (self.next_ack < len(self.acks)
-                and self.acks[self.next_ack].timestamp <= time)
+                and self.acks[self.next_ack][0] <= time)
 
     # -- explanation -------------------------------------------------------
 
-    def try_explain(self, record: TraceRecord) -> Classification | None:
+    def try_explain(self, record: TraceRecord,
+                    row: tuple[float, int, int, int]
+                    ) -> Classification | None:
+        time, seq, end, payload = row
         model = self.model
-        seq, end, time = record.seq, record.seq_end, record.timestamp
+        snd_nxt = model.snd_nxt
 
-        if seq_gt(seq, model.snd_nxt):
-            # The sender cannot skip sequence space.  Leave unexplained
-            # for now: an unconsumed (or resequenced) ack may advance
-            # snd_nxt to here; only once the ack supply is exhausted
-            # does the replay conclude the filter dropped records.
+        if seq == snd_nxt:
+            if payload == 1 and model.offered_window == 0:
+                # A zero-window probe from the persist timer: one byte
+                # sent despite (because of) the closed window.
+                return Classification(record, "window_probe")
+            ledger = model.ledger
+            past_high = (end - ledger.current_high) % 2**32
+            if past_high and past_high < 2**31:
+                return None  # beyond the window as modelled so far
+            liberated = ledger.permissible_since(end)
+            kind = ("new" if (seq - model.highest_sent) % 2**32 < 2**31
+                    else "goback")
+            flight = (end - model.snd_una) % 2**32
+            if flight >= 2**31:
+                flight -= 2**32
+            return Classification(
+                record, kind,
+                time - liberated if liberated is not None else None,
+                "", flight)
+        if (seq - snd_nxt) % 2**32 < 2**31:
+            # seq > snd_nxt: the sender cannot skip sequence space.
+            # Leave unexplained for now: an unconsumed (or resequenced)
+            # ack may advance snd_nxt to here; only once the ack supply
+            # is exhausted does the replay conclude the filter dropped
+            # records.
             return None
-        if (record.payload == 1 and model.offered_window == 0
-                and seq == model.snd_nxt):
-            # A zero-window probe from the persist timer: one byte sent
-            # despite (because of) the closed window.
-            return Classification(record, "window_probe")
-        if seq == model.snd_nxt:
-            if seq_le(end, model.allowed_high()):
-                liberated = model.ledger.permissible_since(end)
-                kind = ("new" if seq_ge(seq, model.highest_sent)
-                        else "goback")
-                delay = (time - liberated) if liberated is not None else None
-                return Classification(record, kind, response_delay=delay,
-                                      flight=seq_diff(end, model.snd_una))
-            return None  # beyond the window as modelled so far
 
         # seq < snd_nxt: an out-of-band retransmission.
         if self.flight_resend_next is not None and seq == self.flight_resend_next:
@@ -430,62 +479,64 @@ class _Replay:
             # outstanding data: only flight-style senders do this, and
             # their resends were matched against flight_resend_next.
             return None
-        if (self.behavior.fast_retransmit and model.expected_fast_rexmit
+        behavior = self.behavior
+        if (behavior.fast_retransmit and model.expected_fast_rexmit
                 and time - model.expected_fast_rexmit_time <= QUIRK_WINDOW):
             return Classification(record, "fast_retransmit")
-        if (self.behavior.dup_ack_triggers_flight_retransmit
+        if (behavior.dup_ack_triggers_flight_retransmit
                 and model.dupacks >= 1):
             return Classification(record, "flight_start",
                                   note="dup-ack-triggered flight burst")
-        if (self.behavior.rexmit_packet_after_ack
+        if (behavior.rexmit_packet_after_ack
                 and (model.rexmit_epoch or model.quirk_expected)
                 and time - model.last_advance_time <= QUIRK_WINDOW):
             return Classification(record, "quirk",
                                   note="retransmit-after-ack quirk")
         elapsed = time - model.timer_base
         if elapsed >= TIMEOUT_TOLERANCE * model.estimated_rto():
-            kind = ("flight_start" if self.behavior.retransmit_whole_flight
+            kind = ("flight_start" if behavior.retransmit_whole_flight
                     else "timeout")
             return Classification(record, kind,
                                   note=f"after {elapsed * 1e3:.0f} ms, "
                                   f"RTO est {model.estimated_rto() * 1e3:.0f} ms")
         return None
 
-    def apply(self, classification: Classification) -> None:
+    def apply(self, classification: Classification,
+              row: tuple[float, int, int, int]) -> None:
         model = self.model
-        record = classification.record
         kind = classification.kind
-        if kind in ("new", "goback"):
-            model.observe_send(record, is_retransmission=(kind == "goback"))
+        time, seq, end, _ = row
+        if kind == "new" or kind == "goback":
+            model.observe_send(time, seq, end, kind == "goback")
             self.flight_resend_next = None
         elif kind == "fast_retransmit":
             model.expected_fast_rexmit = False
-            model.observe_send(record, is_retransmission=True)
+            model.observe_send(time, seq, end, True)
         elif kind == "timeout":
-            model.apply_timeout(record.timestamp)
-            model.observe_send(record, is_retransmission=True)
+            model.apply_timeout(time)
+            model.observe_send(time, seq, end, True)
         elif kind == "flight_start":
-            if record.timestamp - model.timer_base >= (
+            if time - model.timer_base >= (
                     TIMEOUT_TOLERANCE * model.estimated_rto()):
-                model.apply_timeout(record.timestamp)
-            model.observe_send(record, is_retransmission=True)
-            self.flight_resend_next = record.seq_end
+                model.apply_timeout(time)
+            model.observe_send(time, seq, end, True)
+            self.flight_resend_next = end
         elif kind == "flight":
-            model.mark_retransmitted(record.seq)
-            self.flight_resend_next = record.seq_end
-            if seq_ge(record.seq_end, model.snd_nxt):
+            model.mark_retransmitted(seq)
+            self.flight_resend_next = end
+            if seq_ge(end, model.snd_nxt):
                 self.flight_resend_next = None
         elif kind == "quirk":
-            model.mark_retransmitted(record.seq)
+            model.mark_retransmitted(seq)
             model.quirk_expected = False
         elif kind == "window_probe":
             pass   # the probe byte is re-sent as normal data later
         elif kind == "filter_gap":
             self.analysis.filter_gaps.append(classification)
-            model.force_observe(record)
+            model.force_observe(time, end)
         else:  # violation
-            model.force_observe(record)
-        self.last_send_time = record.timestamp
+            model.force_observe(time, end)
+        self.last_send_time = time
 
 
 #: How many subsequent data packets must replay cleanly before a
@@ -537,31 +588,30 @@ def _replay(pass_one: SenderPassOne, behavior: TCPBehavior,
             analysis: SenderAnalysis,
             abort_score: float | None = None) -> None:
     state = _Replay(pass_one, behavior, analysis)
+    records = pass_one.data
+    rows = pass_one.data_rows
+    n_rows = len(rows)
     # Early-abort bound (branch-and-bound over candidates): once the
     # violation count alone — worth 10 score points apiece — provably
     # pushes this candidate's fit score past ``abort_score`` AND past
     # the category-"incorrect" floor, finishing the replay cannot
     # change the identification outcome.  Checked only outside quench
     # trials, because a trial rollback can retract violations.
-    incorrect_floor = max(1, len(state.data) // 50)
+    incorrect_floor = max(1, n_rows // 50)
 
     index = 0
     trial: _QuenchTrial | None = None
     no_quench_at: set[int] = set()   # indices where the hypothesis failed
-    while index < len(state.data):
-        record = state.data[index]
+    while index < n_rows:
+        record = records[index]
+        row = rows[index]
+        time = row[0]
         model = state.model
-        time = record.timestamp
-        classification = None
         # Feed acks lazily: only as needed, never past the packet's time.
-        while True:
-            classification = state.try_explain(record)
-            if classification is not None:
-                break
-            if state.acks_available_by(time):
-                state.feed_ack()
-                continue
-            break
+        classification = state.try_explain(record, row)
+        while classification is None and state.acks_available_by(time):
+            state.feed_ack()
+            classification = state.try_explain(record, row)
 
         wants_quench = (
             classification is not None and classification.kind == "new"
@@ -573,15 +623,15 @@ def _replay(pass_one: SenderPassOne, behavior: TCPBehavior,
             # hypothesize an unseen source quench (§6.2), subject to the
             # next packets replaying consistently.  The trial snapshots
             # the replay state only if the hypothesis is taken.
-            quenched = _quench_inference(state, record, index)
+            quenched = _quench_inference(state, record, row, index)
             if quenched is not None:
                 classification, trial = quenched
         if classification is None:
-            classification = _lookahead(state, record)
-        if classification is None and seq_gt(record.seq, model.snd_nxt):
+            classification = _lookahead(state, record, row)
+        if classification is None and seq_gt(row[1], model.snd_nxt):
             classification = Classification(
                 record, "filter_gap",
-                note=f"gap of {seq_diff(record.seq, model.snd_nxt)} bytes "
+                note=f"gap of {seq_diff(row[1], model.snd_nxt)} bytes "
                 f"before this packet: data records missing")
         if classification is None:
             if trial is not None:
@@ -594,10 +644,10 @@ def _replay(pass_one: SenderPassOne, behavior: TCPBehavior,
             classification = Classification(
                 record, "violation",
                 note=f"model allowed up to {model.allowed_high()}, "
-                f"packet ends {record.seq_end}; state {model.snapshot()}")
+                f"packet ends {row[2]}; state {model.snapshot()}")
             analysis.violations.append(classification)
 
-        state.apply(classification)
+        state.apply(classification, row)
         analysis.classifications.append(classification)
         if trial is not None and index > trial.start_index:
             trial.packets_left -= 1
@@ -609,26 +659,25 @@ def _replay(pass_one: SenderPassOne, behavior: TCPBehavior,
                 and len(analysis.violations) * 10.0 > abort_score):
             analysis.replay_aborted = True
             analysis.notes.append(
-                f"replay aborted after {index} of {len(state.data)} data "
+                f"replay aborted after {index} of {n_rows} data "
                 f"packets: {len(analysis.violations)} violations already "
                 f"exceed the best completed fit")
             return
-
-    # Drain remaining acks so end-of-connection state is complete.
-    while state.next_ack < len(state.acks):
-        state.feed_ack()
+    # Acks left over after the last data packet are never fed: nothing
+    # after the replay reads the model.
 
 
-def _lookahead(state: _Replay, record: TraceRecord) -> Classification | None:
+def _lookahead(state: _Replay, record: TraceRecord,
+               row: tuple[float, int, int, int]) -> Classification | None:
     """Resequencing detection (§3.1.3): can an ack recorded just
     *after* this packet explain it?"""
     fed = 0
-    while (state.next_ack < len(state.acks) and fed < RESEQUENCING_MAX_ACKS
-           and state.acks[state.next_ack].timestamp
-           <= record.timestamp + RESEQUENCING_LOOKAHEAD):
+    acks = state.acks
+    while (state.next_ack < len(acks) and fed < RESEQUENCING_MAX_ACKS
+           and acks[state.next_ack][0] <= row[0] + RESEQUENCING_LOOKAHEAD):
         state.feed_ack()
         fed += 1
-        classification = state.try_explain(record)
+        classification = state.try_explain(record, row)
         if classification is not None:
             clue = Classification(
                 record, classification.kind,
@@ -640,7 +689,8 @@ def _lookahead(state: _Replay, record: TraceRecord) -> Classification | None:
     return None
 
 
-def _quench_inference(state: _Replay, record: TraceRecord, index: int
+def _quench_inference(state: _Replay, record: TraceRecord,
+                      row: tuple[float, int, int, int], index: int
                       ) -> tuple[Classification, _QuenchTrial] | None:
     """Source-quench inference (§6.2): a long unexplained sending lull,
     after which the send pattern is consistent with the stack's
@@ -655,25 +705,26 @@ def _quench_inference(state: _Replay, record: TraceRecord, index: int
             QuenchResponse.SLOW_START,
             QuenchResponse.SLOW_START_HALVE_SSTHRESH):
         return None  # not inferable for non-slow-start responders (§6.2)
+    time, seq, end, _ = row
     model = state.model
     # A quench collapses the window to one segment, so the sender goes
     # *quiet* for of order a round trip.  A merely buffer-limited
     # sender (§6.2 sender window) keeps transmitting in step with the
     # ack clock; without a genuine lull, do not infer a quench.
     srtt = getattr(model.estimator, "srtt", None) or 0.1
-    if record.timestamp - state.last_send_time < max(0.05, 0.5 * srtt):
+    if time - state.last_send_time < max(0.05, 0.5 * srtt):
         return None
     # The situation: every ack up to now is consumed, the model's window
     # would have permitted this send long ago, and the delay is large.
-    if seq_gt(record.seq_end, model.allowed_high()):
+    if seq_gt(end, model.allowed_high()):
         return None
-    liberated = model.ledger.permissible_since(record.seq_end)
+    liberated = model.ledger.permissible_since(end)
     if liberated is None:
         return None
-    delay = record.timestamp - liberated
+    delay = time - liberated
     if delay < QUENCH_DELAY_THRESHOLD:
         return None
-    if record.seq != model.snd_nxt:
+    if seq != model.snd_nxt:
         return None
     # Consistent with a quench between the liberating ack and this
     # packet: apply the stack's quench response at the liberation time
@@ -682,7 +733,7 @@ def _quench_inference(state: _Replay, record: TraceRecord, index: int
     trial = _QuenchTrial(state, index)
     model.apply_quench(liberated)
     state.analysis.inferred_quenches.append(liberated)
-    if seq_le(record.seq_end, model.allowed_high()):
+    if seq_le(end, model.allowed_high()):
         note = "consistent with unseen source quench"
     else:
         # Even one segment would not fit: retract nothing, but report

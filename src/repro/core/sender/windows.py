@@ -19,18 +19,20 @@ everything the ledger permits is a window violation.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.tcp import params as P
 from repro.tcp.params import TCPBehavior
 from repro.tcp.sender import MAX_WINDOW
 from repro.tcp.timers import make_estimator
-from repro.trace.record import TraceRecord
-from repro.units import seq_diff, seq_ge, seq_gt, seq_le, seq_lt
+from repro.units import seq_diff, seq_gt, seq_lt
+
+# Hot paths test sequence order with the inline residue forms that
+# ``repro.units`` documents rather than calling its helpers: the replay
+# runs them hundreds of thousands of times per corpus.
 
 
-@dataclass(frozen=True, slots=True)
-class Liberation:
+class Liberation(NamedTuple):
     """A window advance: at ``time``, sending up to ``high`` became
     permissible."""
 
@@ -53,12 +55,16 @@ class WindowLedger:
         #: ``seq_diff(entry.high, entries[0].high)`` for each entry, in
         #: step with ``_entries``: the keys permissible_since bisects.
         self._offsets: list[int] = [0]
+        #: The last entry's ``high``: how far sending is permitted now.
+        #: A plain attribute, kept in step by advance and shrink,
+        #: because every replay step reads it.
+        self.current_high = initial_high
 
     def clone(self) -> "WindowLedger":
         """An independent copy sharing the (immutable) entries.
 
-        Entry objects are frozen and the ledger only ever replaces or
-        appends them (and their offsets are ints), so shallow list
+        Entries are immutable tuples and the ledger only ever replaces
+        or appends them (and their offsets are ints), so shallow list
         copies give full isolation at a fraction of a deep copy's
         cost.  This runs each time the analyzer commits to a quench
         hypothesis, which snapshots the whole model first.
@@ -66,17 +72,18 @@ class WindowLedger:
         dup = WindowLedger.__new__(WindowLedger)
         dup._entries = self._entries[:]
         dup._offsets = self._offsets[:]
+        dup.current_high = self.current_high
         return dup
-
-    @property
-    def current_high(self) -> int:
-        return self._entries[-1].high
 
     def advance(self, time: float, high: int) -> None:
         """The window now permits sending up to *high*."""
-        if seq_gt(high, self.current_high):
-            self._entries.append(Liberation(time, high))
-            self._offsets.append(seq_diff(high, self._entries[0].high))
+        if 0 < (high - self.current_high) % 2**32 < 2**31:
+            entries = self._entries
+            entries.append(Liberation(time, high))
+            offset = (high - entries[0].high) % 2**32
+            self._offsets.append(offset - 2**32 if offset >= 2**31
+                                 else offset)
+            self.current_high = high
 
     def shrink(self, high: int) -> None:
         """The window collapsed: only sequence numbers up to *high*
@@ -96,9 +103,10 @@ class WindowLedger:
             entries[0] = Liberation(entries[0].time, high)
             # Every offset is measured from the first entry's high.
             self._offsets = [seq_diff(entry.high, high) for entry in entries]
-        elif crossed_at is not None and seq_lt(self.current_high, high):
+        elif crossed_at is not None and seq_lt(entries[-1].high, high):
             entries.append(Liberation(crossed_at, high))
             offsets.append(seq_diff(high, entries[0].high))
+        self.current_high = entries[-1].high
 
     def permissible_since(self, seq_end: int) -> float | None:
         """When sending a packet ending at *seq_end* first became
@@ -114,15 +122,22 @@ class WindowLedger:
         even for a ledger whose offsets are not sorted.
         """
         entries = self._entries
-        index = bisect_left(self._offsets,
-                            seq_diff(seq_end, entries[0].high))
+        target = (seq_end - entries[0].high) % 2**32
+        if target >= 2**31:
+            target -= 2**32
+        index = bisect_left(self._offsets, target)
         if index == len(entries):
             return None
         return entries[index].time
 
 
 class SenderModel:
-    """Candidate-implementation state machine driven by trace events."""
+    """Candidate-implementation state machine driven by trace events.
+
+    Events arrive as plain scalars — the analyzer reads them from pass
+    one's per-trace rows — so a replay step never touches a
+    :class:`~repro.trace.record.TraceRecord`.
+    """
 
     def __init__(self, behavior: TCPBehavior, mss: int, iss: int,
                  offered_mss: int, peer_offered_mss_option: bool,
@@ -142,10 +157,12 @@ class SenderModel:
         self.ssthresh = P.initial_ssthresh(behavior, mss,
                                            peer_offered_mss_option)
         self.offered_window = initial_offered_window
-        self.sender_window = sender_window
+        #: The sending window's bound besides cwnd and the offered
+        #: window: the sender buffer, or unbounded.
+        self._window_cap = (sender_window if sender_window is not None
+                            else float("inf"))
         self.dupacks = 0
         self.in_fast_recovery = False
-        self.recover_point = self.snd_una
         #: Set when dup acks reach the threshold: the analyzer should
         #: see a fast retransmission of snd_una *promptly* (within the
         #: kernel's response delay of the third dup) — a stale
@@ -164,20 +181,16 @@ class SenderModel:
         self.timer_base = start_time
         self.rexmit_epoch = False
         self._rexmitted_starts: set[int] = set()
-        #: First-transmission times by segment start, for RTT mirroring.
-        self._first_sent: dict[int, float] = {}
         self._timing_seq: int | None = None
         self._timing_start = 0.0
         self.ledger = WindowLedger(start_time, self._window_limit())
-        self.last_ack_time = start_time
         self.last_advance_time = start_time
 
     def clone(self) -> "SenderModel":
         """A fully independent snapshot of the model state.
 
-        Scalars are copied wholesale; the two containers (the
-        retransmitted-starts set and the first-send map, which hold
-        only ints and floats) get shallow copies, and the window
+        Scalars are copied wholesale; the retransmitted-starts set
+        (which holds only ints) gets a shallow copy, and the window
         ledger and RTO estimator their own ``clone()``.  The analyzer
         snapshots the model each time it commits to a quench
         hypothesis, so this must stay cheap: a ``copy.deepcopy`` here
@@ -186,7 +199,6 @@ class SenderModel:
         dup = SenderModel.__new__(SenderModel)
         dup.__dict__.update(self.__dict__)
         dup._rexmitted_starts = set(self._rexmitted_starts)
-        dup._first_sent = dict(self._first_sent)
         dup.ledger = self.ledger.clone()
         dup.estimator = self.estimator.clone()
         return dup
@@ -194,62 +206,72 @@ class SenderModel:
     # -- window geometry --------------------------------------------------
 
     def _window_limit(self) -> int:
-        window = min(self.cwnd, self.offered_window)
-        if self.sender_window is not None:
-            window = min(window, self.sender_window)
-        return (self.snd_una + window) % 2**32
+        """The highest sequence number the candidate's window permits."""
+        return (self.snd_una + min(self.cwnd, self.offered_window,
+                                   self._window_cap)) % 2**32
 
     def _sync_ledger(self, time: float) -> None:
         limit = self._window_limit()
-        if seq_lt(limit, self.ledger.current_high):
-            self.ledger.shrink(limit)
-        else:
-            self.ledger.advance(time, limit)
+        ledger = self.ledger
+        gap = (limit - ledger.current_high) % 2**32
+        if gap >= 2**31:
+            ledger.shrink(limit)
+        elif gap:
+            ledger.advance(time, limit)
 
     def allowed_high(self) -> int:
         return self.ledger.current_high
-
-    def usable_window(self) -> int:
-        return max(seq_diff(self._window_limit(), self.highest_sent), 0)
 
     def estimated_rto(self) -> float:
         return self.estimator.rto()
 
     # -- trace-event handlers ----------------------------------------------
 
-    def process_ack(self, record: TraceRecord) -> str:
-        """Feed one observed ack to the model.
+    def process_ack(self, time: float, ack: int, window: int,
+                    payload: int) -> str:
+        """Feed one observed ack (timestamp, ack number, advertised
+        window, payload bytes) to the model.
 
         Returns ``"advance"``, ``"dup"``, or ``"other"`` describing how
-        the model interpreted it.
+        the model interpreted it; the ledger then follows the window
+        the candidate computes after it.
         """
-        time = record.timestamp
-        self.last_ack_time = time
-        ack = record.ack
-        window_changed = record.window != self.offered_window
-        self.offered_window = record.window
-
-        if seq_gt(ack, self.snd_una) and seq_le(ack, self.highest_sent):
+        window_changed = window != self.offered_window
+        self.offered_window = window
+        snd_una = self.snd_una
+        above_una = (ack - snd_una) % 2**32
+        past_sent = (ack - self.highest_sent) % 2**32
+        if 0 < above_una < 2**31 and (past_sent == 0 or past_sent >= 2**31):
             self._advance(ack, time)
-            self._sync_ledger(time)
-            return "advance"
-        if (ack == self.snd_una and record.payload == 0 and not window_changed
-                and seq_lt(self.snd_una, self.highest_sent)):
+            result = "advance"
+        elif (ack == snd_una and payload == 0 and not window_changed
+              and (snd_una - self.highest_sent) % 2**32 >= 2**31):
             self._duplicate(time)
-            self._sync_ledger(time)
-            return "dup"
-        self._sync_ledger(time)
-        return "other"
+            result = "dup"
+        else:
+            result = "other"
+        # _sync_ledger, spelled out: the ack feed is the replay's
+        # hottest call.
+        limit = (self.snd_una + min(self.cwnd, window,
+                                    self._window_cap)) % 2**32
+        ledger = self.ledger
+        gap = (limit - ledger.current_high) % 2**32
+        if gap >= 2**31:
+            ledger.shrink(limit)
+        elif gap:
+            ledger.advance(time, limit)
+        return result
 
     def _advance(self, ack: int, time: float) -> None:
         behavior = self.behavior
         acked_rexmit = False
-        if self._rexmitted_starts:
-            acked_rexmit = any(seq_lt(s, ack)
-                               for s in self._rexmitted_starts)
-            self._rexmitted_starts = {s for s in self._rexmitted_starts
-                                      if seq_ge(s, ack)}
-        if self._timing_seq is not None and seq_ge(ack, self._timing_seq):
+        rexmitted = self._rexmitted_starts
+        if rexmitted:
+            acked_rexmit = any((s - ack) % 2**32 >= 2**31 for s in rexmitted)
+            self._rexmitted_starts = rexmitted = {
+                s for s in rexmitted if (s - ack) % 2**32 < 2**31}
+        timing_seq = self._timing_seq
+        if timing_seq is not None and (ack - timing_seq) % 2**32 < 2**31:
             self.estimator.sample(time - self._timing_start,
                                   for_retransmitted=False)
             self._timing_seq = None
@@ -264,7 +286,7 @@ class SenderModel:
         self.dupacks = 0
         self.expected_fast_rexmit = False
         self.snd_una = ack
-        if seq_lt(self.snd_nxt, ack):
+        if (self.snd_nxt - ack) % 2**32 >= 2**31:
             self.snd_nxt = ack
         self.estimator.reset_backoff()
         if not exiting:
@@ -275,7 +297,7 @@ class SenderModel:
         self.quirk_expected = (behavior.rexmit_packet_after_ack
                                and self.rexmit_epoch
                                and seq_lt(ack, self.highest_sent))
-        if not self._rexmitted_starts:
+        if not rexmitted:
             self.rexmit_epoch = False
         self.timer_base = time
         self.last_advance_time = time
@@ -310,7 +332,6 @@ class SenderModel:
                             and not behavior.fast_recovery_disabled_by_bug)
             if use_recovery:
                 self.in_fast_recovery = True
-                self.recover_point = self.highest_sent
                 self.cwnd = (self.ssthresh
                              + behavior.dup_ack_threshold * self.cwnd_mss)
             else:
@@ -325,25 +346,21 @@ class SenderModel:
 
     # -- classification side-effects ----------------------------------------
 
-    def observe_send(self, record: TraceRecord,
+    def observe_send(self, time: float, seq: int, end: int,
                      is_retransmission: bool) -> None:
-        """Account for an observed data transmission."""
-        time = record.timestamp
-        seq, end = record.seq, record.seq_end
+        """Account for an observed data transmission of [seq, end)."""
         if is_retransmission:
             self.mark_retransmitted(seq)
-            if (self._timing_seq is not None
-                    and seq_lt(seq, self._timing_seq)):
+            timing_seq = self._timing_seq
+            if timing_seq is not None and (seq - timing_seq) % 2**32 >= 2**31:
                 self._timing_seq = None
         else:
-            if seq not in self._first_sent:
-                self._first_sent[seq] = time
             if self._timing_seq is None:
                 self._timing_seq = end
                 self._timing_start = time
-            if seq_gt(end, self.highest_sent):
+            if 0 < (end - self.highest_sent) % 2**32 < 2**31:
                 self.highest_sent = end
-        if seq == self.snd_nxt and seq_gt(end, self.snd_nxt):
+        if seq == self.snd_nxt and 0 < (end - seq) % 2**32 < 2**31:
             self.snd_nxt = end
 
     def mark_retransmitted(self, seq: int) -> None:
@@ -380,19 +397,16 @@ class SenderModel:
             self.cwnd = self.cwnd_mss
         self._sync_ledger(time)
 
-    def force_observe(self, record: TraceRecord) -> None:
-        """Resynchronize after an unexplained packet: accept it as sent
-        so one anomaly does not cascade into spurious violations."""
-        if seq_gt(record.seq_end, self.highest_sent):
-            self.highest_sent = record.seq_end
-        if seq_gt(record.seq_end, self.snd_nxt):
-            self.snd_nxt = record.seq_end
-        self.ledger.advance(record.timestamp,
-                            max(self.ledger.current_high, record.seq_end,
-                                key=lambda s: seq_diff(s, self.snd_una)))
-
-    def first_sent_time(self, seq: int) -> float | None:
-        return self._first_sent.get(seq)
+    def force_observe(self, time: float, end: int) -> None:
+        """Resynchronize after an unexplained packet ending at *end*:
+        accept it as sent so one anomaly does not cascade into
+        spurious violations."""
+        if seq_gt(end, self.highest_sent):
+            self.highest_sent = end
+        if seq_gt(end, self.snd_nxt):
+            self.snd_nxt = end
+        self.ledger.advance(time, max(self.ledger.current_high, end,
+                                      key=lambda s: seq_diff(s, self.snd_una)))
 
     def snapshot(self) -> dict:
         """A summary of current state (for reports and tests)."""

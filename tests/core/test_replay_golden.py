@@ -10,9 +10,11 @@ classification counts, every violation, resequencing clue and filter
 gap (time, sequence number, kind and note), the inferred quenches,
 the inferred sender window and the analysis notes.
 
-The inputs are the five golden sender traces plus one Reno transfer
-over a quenching router, the only fixture on which a source-quench
-trial is committed rather than rolled back.  If a change is *intended*
+The inputs are the five golden sender traces, one Reno transfer over
+a quenching router (the only fixture on which a source-quench trial
+is committed rather than rolled back), and the lossy Tahoe trace with
+both directions' sequence spaces rebased so the transfer crosses
+2**32 (pinning the replay's modular arithmetic across the wrap).  If a change is *intended*
 to alter analysis output, regenerate with::
 
     PYTHONPATH=src python -c \\
@@ -23,12 +25,14 @@ and review the diff like any behavioral change.
 
 import json
 import pathlib
+import random
 
 import pytest
 
 from repro.core.engine import IdentificationEngine
 from repro.core.fit import identify_implementation
 from repro.core.sender import analyzer, windows
+from repro.fuzz.ingredients import wrap_sequences
 from repro.harness.scenarios import Scenario, traced_transfer
 from repro.tcp.catalog import get_behavior
 from repro.trace.text import parse_trace, render_trace
@@ -37,6 +41,10 @@ from repro.units import kbit, kbyte
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 GOLDEN = FIXTURES / "replay_golden.json"
 QUENCH_FIXTURE = FIXTURES / "reno_quench-path_40960_q4.txt"
+WRAP_SOURCE = FIXTURES / "tahoe_wan-lossy_20480_1.txt"
+WRAP_FIXTURE = FIXTURES / "tahoe_wan-lossy_20480_1_wrapped.txt"
+#: Seeds the ISN rebase of the wrapped fixture.
+WRAP_SEED = 15
 
 TRACE_FIXTURES = [
     "reno_wan_20480_0.txt",
@@ -45,6 +53,7 @@ TRACE_FIXTURES = [
     "linux-1.0_wan-lossy_20480_1.txt",
     "net3_lan_10240_0.txt",
     QUENCH_FIXTURE.name,
+    WRAP_FIXTURE.name,
 ]
 
 #: The C5 benchmark's quenching path (~240 ms RTT, small
@@ -108,6 +117,10 @@ def regenerate() -> None:
                                data_size=kbyte(40), quench_threshold=4)
     QUENCH_FIXTURE.write_text(render_trace(transfer.sender_trace,
                                            relative_time=False))
+    wrapped = wrap_sequences(
+        parse_trace(WRAP_SOURCE.read_text(), vantage="sender"),
+        random.Random(WRAP_SEED))
+    WRAP_FIXTURE.write_text(render_trace(wrapped, relative_time=False))
     golden = {name: analyze_fixture(name) for name in TRACE_FIXTURES}
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
 

@@ -1,8 +1,13 @@
 """Sender analysis: liberations, violations, classification (§6)."""
 
+import pathlib
+import re
+
 import pytest
 
 from repro.capture.filter import PacketFilter
+from repro.core.engine import IdentificationEngine
+from repro.core.report import analyze_trace
 from repro.core.sender.analyzer import (
     TraceUnusable,
     analyze_sender,
@@ -10,7 +15,9 @@ from repro.core.sender.analyzer import (
 )
 from repro.harness.scenarios import traced_transfer
 from repro.tcp.catalog import CATALOG, get_behavior
+from repro.trace import columns as trace_columns
 from repro.trace.record import Trace
+from repro.trace.text import parse_trace
 from repro.units import kbyte
 
 from tests.conftest import cached_transfer
@@ -40,6 +47,42 @@ class TestFacts:
         headless = Trace(records=[r for r in trace if not r.is_syn])
         with pytest.raises(TraceUnusable):
             extract_facts(headless)
+
+
+BACKENDS = ["python"] + (["numpy"] if trace_columns.numpy_available()
+                         else [])
+RENO_FIXTURE = (pathlib.Path(__file__).parent.parent / "fixtures"
+                / "reno_wan_20480_0.txt")
+
+
+@pytest.fixture(params=BACKENDS)
+def backend(request):
+    trace_columns.set_backend(request.param)
+    yield request.param
+    trace_columns.set_backend(None)
+
+
+class TestZeroMss:
+    """A handshake negotiating an MSS of 0 leaves nothing to replay:
+    every candidate's window arithmetic divides by the MSS."""
+
+    def trace(self, pattern: str) -> Trace:
+        text = re.sub(pattern, "<mss 0>", RENO_FIXTURE.read_text())
+        return parse_trace(text, vantage="sender")
+
+    @pytest.mark.parametrize("pattern", [r"<mss \d+>", r"<mss 1460>"],
+                             ids=["both", "peer"])
+    def test_pass_one_refuses(self, backend, pattern):
+        with pytest.raises(TraceUnusable, match="MSS of 0"):
+            extract_facts(self.trace(pattern))
+
+    def test_every_candidate_ranks_unusable(self, backend):
+        trace = self.trace(r"<mss \d+>")
+        fits = IdentificationEngine().identify_sender(trace).fits
+        assert {fit.category for fit in fits} == {"unusable"}
+        report = analyze_trace(trace, identify=True)
+        assert {fit.category for fit in report.identification.fits} \
+            == {"unusable"}
 
 
 class TestSelfConsistency:

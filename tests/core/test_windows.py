@@ -5,22 +5,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.sender.windows import Liberation, SenderModel, WindowLedger
-from repro.packets import ACK, Endpoint
-from repro.trace.record import TraceRecord
 from repro.tcp.catalog import RENO, SOLARIS_23, TAHOE, get_behavior
 from repro.units import seq_diff, seq_gt, seq_lt
 
 
-def make_record(t, ack, window=65535, payload=0, seq=1):
-    return TraceRecord(timestamp=t, src=Endpoint("receiver", 9000),
-                       dst=Endpoint("sender", 1024), seq=seq, ack=ack,
-                       flags=ACK, payload=payload, window=window)
+def ack_row(t, ack, window=65535, payload=0):
+    """An observed ack as the model takes it: time, ack, window, payload."""
+    return t, ack, window, payload
 
 
-def data_record(t, seq, payload=512):
-    return TraceRecord(timestamp=t, src=Endpoint("sender", 1024),
-                       dst=Endpoint("receiver", 9000), seq=seq, ack=1,
-                       flags=ACK, payload=payload, window=65535)
+def sent_row(t, seq, payload=512):
+    """An observed data send as the model takes it: time, seq, seq_end."""
+    return t, seq, (seq + payload) % 2**32
 
 
 def make_model(behavior=RENO, mss=512, offered_window=65535):
@@ -181,36 +177,36 @@ class TestLedgerAgainstOracle:
 class TestSenderModelAcks:
     def test_advance_grows_cwnd_in_slow_start(self):
         model = make_model()
-        model.observe_send(data_record(0.1, 1), is_retransmission=False)
+        model.observe_send(*sent_row(0.1, 1), is_retransmission=False)
         before = model.cwnd
-        model.process_ack(make_record(0.2, 513))
+        model.process_ack(*ack_row(0.2, 513))
         assert model.cwnd == before + model.cwnd_mss
         assert model.snd_una == 513
 
     def test_duplicate_ack_counted(self):
         model = make_model()
         for i in range(3):
-            model.observe_send(data_record(0.1 + i * 0.01, 1 + 512 * i),
+            model.observe_send(*sent_row(0.1 + i * 0.01, 1 + 512 * i),
                                is_retransmission=False)
-        model.process_ack(make_record(0.2, 513))
-        assert model.process_ack(make_record(0.3, 513)) == "dup"
+        model.process_ack(*ack_row(0.2, 513))
+        assert model.process_ack(*ack_row(0.3, 513)) == "dup"
         assert model.dupacks == 1
 
     def test_window_update_not_a_dup(self):
         model = make_model()
-        model.observe_send(data_record(0.1, 1), is_retransmission=False)
-        result = model.process_ack(make_record(0.2, 1, window=32768))
+        model.observe_send(*sent_row(0.1, 1), is_retransmission=False)
+        result = model.process_ack(*ack_row(0.2, 1, window=32768))
         assert result == "other"
         assert model.dupacks == 0
 
     def test_three_dups_arm_fast_retransmit(self):
         model = make_model()
         for i in range(5):
-            model.observe_send(data_record(0.1 + i * 0.01, 1 + 512 * i),
+            model.observe_send(*sent_row(0.1 + i * 0.01, 1 + 512 * i),
                                is_retransmission=False)
-        model.process_ack(make_record(0.2, 513))
+        model.process_ack(*ack_row(0.2, 513))
         for i in range(3):
-            model.process_ack(make_record(0.3 + i * 0.01, 513))
+            model.process_ack(*ack_row(0.3 + i * 0.01, 513))
         assert model.expected_fast_rexmit
         assert model.in_fast_recovery          # Reno
         assert model.cwnd == model.ssthresh + 3 * model.cwnd_mss
@@ -218,11 +214,11 @@ class TestSenderModelAcks:
     def test_tahoe_three_dups_collapse(self):
         model = make_model(TAHOE)
         for i in range(5):
-            model.observe_send(data_record(0.1 + i * 0.01, 1 + 512 * i),
+            model.observe_send(*sent_row(0.1 + i * 0.01, 1 + 512 * i),
                                is_retransmission=False)
-        model.process_ack(make_record(0.2, 513))
+        model.process_ack(*ack_row(0.2, 513))
         for i in range(3):
-            model.process_ack(make_record(0.3 + i * 0.01, 513))
+            model.process_ack(*ack_row(0.3 + i * 0.01, 513))
         assert model.expected_fast_rexmit
         assert not model.in_fast_recovery
         assert model.cwnd == model.cwnd_mss
@@ -231,23 +227,23 @@ class TestSenderModelAcks:
     def test_solaris_recovery_disabled_by_bug(self):
         model = make_model(SOLARIS_23)
         for i in range(5):
-            model.observe_send(data_record(0.1 + i * 0.01, 1 + 512 * i),
+            model.observe_send(*sent_row(0.1 + i * 0.01, 1 + 512 * i),
                                is_retransmission=False)
-        model.process_ack(make_record(0.2, 513))
+        model.process_ack(*ack_row(0.2, 513))
         for i in range(3):
-            model.process_ack(make_record(0.3 + i * 0.01, 513))
+            model.process_ack(*ack_row(0.3 + i * 0.01, 513))
         assert not model.in_fast_recovery
 
     def test_recovery_inflation_beyond_threshold(self):
         model = make_model()
         for i in range(8):
-            model.observe_send(data_record(0.1 + i * 0.01, 1 + 512 * i),
+            model.observe_send(*sent_row(0.1 + i * 0.01, 1 + 512 * i),
                                is_retransmission=False)
-        model.process_ack(make_record(0.2, 513))
+        model.process_ack(*ack_row(0.2, 513))
         for i in range(3):
-            model.process_ack(make_record(0.3 + i * 0.01, 513))
+            model.process_ack(*ack_row(0.3 + i * 0.01, 513))
         inflated = model.cwnd
-        model.process_ack(make_record(0.4, 513))
+        model.process_ack(*ack_row(0.4, 513))
         assert model.cwnd == inflated + model.cwnd_mss
 
 
@@ -255,16 +251,16 @@ class TestSenderModelTimeout:
     def test_timeout_collapses_window(self):
         model = make_model()
         for i in range(4):
-            model.observe_send(data_record(0.1 + i * 0.01, 1 + 512 * i),
+            model.observe_send(*sent_row(0.1 + i * 0.01, 1 + 512 * i),
                                is_retransmission=False)
-        model.process_ack(make_record(0.2, 513))
+        model.process_ack(*ack_row(0.2, 513))
         model.apply_timeout(3.0)
         assert model.cwnd == model.cwnd_mss
         assert model.snd_nxt == model.snd_una
 
     def test_timeout_backs_off_estimator(self):
         model = make_model()
-        model.observe_send(data_record(0.1, 1), is_retransmission=False)
+        model.observe_send(*sent_row(0.1, 1), is_retransmission=False)
         before = model.estimated_rto()
         model.apply_timeout(3.0)
         assert model.estimated_rto() > before
@@ -272,9 +268,9 @@ class TestSenderModelTimeout:
     def test_ledger_shrinks_on_timeout(self):
         model = make_model()
         for i in range(4):
-            model.observe_send(data_record(0.1 + i * 0.01, 1 + 512 * i),
+            model.observe_send(*sent_row(0.1 + i * 0.01, 1 + 512 * i),
                                is_retransmission=False)
-        model.process_ack(make_record(0.2, 513))
+        model.process_ack(*ack_row(0.2, 513))
         model.apply_timeout(3.0)
         assert model.allowed_high() == model.snd_una + model.cwnd_mss
 
@@ -282,7 +278,7 @@ class TestSenderModelTimeout:
 class TestQuench:
     def test_bsd_quench_slow_start(self):
         model = make_model()
-        model.process_ack(make_record(0.1, 1))
+        model.process_ack(*ack_row(0.1, 1))
         model.cwnd = 8192
         model.apply_quench(1.0)
         assert model.cwnd == model.cwnd_mss

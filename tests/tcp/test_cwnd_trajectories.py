@@ -11,23 +11,20 @@ sequences.
 import pytest
 
 from repro.core.sender.windows import SenderModel
-from repro.packets import ACK, Endpoint
 from repro.tcp.catalog import RENO, SOLARIS_23, TAHOE, get_behavior
-from repro.trace.record import TraceRecord
 
 MSS = 512
 
 
-def ack_record(t, ack, window=65535):
-    return TraceRecord(timestamp=t, src=Endpoint("receiver", 9000),
-                       dst=Endpoint("sender", 1024), seq=1, ack=ack,
-                       flags=ACK, payload=0, window=window)
+def ack_row(t, ack, window=65535):
+    """An observed pure ack as the model takes it: time, ack, window,
+    payload."""
+    return t, ack, window, 0
 
 
-def data_record(t, seq, payload=MSS):
-    return TraceRecord(timestamp=t, src=Endpoint("sender", 1024),
-                       dst=Endpoint("receiver", 9000), seq=seq, ack=1,
-                       flags=ACK, payload=payload, window=65535)
+def sent_row(t, seq, payload=MSS):
+    """An observed data send as the model takes it: time, seq, seq_end."""
+    return t, seq, (seq + payload) % 2**32
 
 
 def make_model(behavior):
@@ -43,10 +40,10 @@ def drive(model, acks, send_all=True):
     seq = 1
     for ack in acks:
         while send_all and seq < ack:
-            model.observe_send(data_record(time, seq), False)
+            model.observe_send(*sent_row(time, seq), False)
             seq += MSS
             time += 0.001
-        model.process_ack(ack_record(time, ack))
+        model.process_ack(*ack_row(time, ack))
         trajectory.append(model.cwnd)
         time += 0.01
     return trajectory
@@ -121,16 +118,16 @@ class TestLossResponses:
         model = make_model(behavior)
         time = 0.0
         for k in range(packets):
-            model.observe_send(data_record(time, 1 + k * MSS), False)
+            model.observe_send(*sent_row(time, 1 + k * MSS), False)
             time += 0.001
         model.cwnd = packets * MSS
         return model, time
 
     def test_reno_fast_retransmit_halves_and_inflates(self):
         model, time = self.prime(RENO)
-        model.process_ack(ack_record(time, 1 + MSS))
+        model.process_ack(*ack_row(time, 1 + MSS))
         for i in range(3):
-            model.process_ack(ack_record(time + 0.01 * (i + 1), 1 + MSS))
+            model.process_ack(*ack_row(time + 0.01 * (i + 1), 1 + MSS))
         # ssthresh = floor(8*512/2 to MSS) = 2048; cwnd = 2048 + 3*512
         assert model.ssthresh == 4 * MSS // 2 * 2  # 2048
         assert model.cwnd == model.ssthresh + 3 * MSS
@@ -138,9 +135,9 @@ class TestLossResponses:
 
     def test_tahoe_fast_retransmit_collapses(self):
         model, time = self.prime(TAHOE)
-        model.process_ack(ack_record(time, 1 + MSS))
+        model.process_ack(*ack_row(time, 1 + MSS))
         for i in range(3):
-            model.process_ack(ack_record(time + 0.01 * (i + 1), 1 + MSS))
+            model.process_ack(*ack_row(time + 0.01 * (i + 1), 1 + MSS))
         assert model.cwnd == MSS
         assert not model.in_fast_recovery
 
@@ -149,50 +146,50 @@ class TestLossResponses:
         clean = replace(RENO, header_prediction_bug=False,
                         fencepost_bug=False)
         model, time = self.prime(clean)
-        model.process_ack(ack_record(time, 1 + MSS))
+        model.process_ack(*ack_row(time, 1 + MSS))
         for i in range(3):
-            model.process_ack(ack_record(time + 0.01 * (i + 1), 1 + MSS))
+            model.process_ack(*ack_row(time + 0.01 * (i + 1), 1 + MSS))
         ssthresh = model.ssthresh
-        model.process_ack(ack_record(time + 0.1, 1 + 4 * MSS))
+        model.process_ack(*ack_row(time + 0.1, 1 + 4 * MSS))
         assert model.cwnd == ssthresh
 
     def test_header_prediction_bug_skips_deflation(self):
         """[BP95]: the fast path forgets to shrink the window when the
         exiting ack covers everything outstanding."""
         model, time = self.prime(RENO)
-        model.process_ack(ack_record(time, 1 + MSS))
+        model.process_ack(*ack_row(time, 1 + MSS))
         for i in range(3):
-            model.process_ack(ack_record(time + 0.01 * (i + 1), 1 + MSS))
+            model.process_ack(*ack_row(time + 0.01 * (i + 1), 1 + MSS))
         inflated = model.cwnd
         # Ack for ALL outstanding data -> header-prediction path.
-        model.process_ack(ack_record(time + 0.1, model.highest_sent))
+        model.process_ack(*ack_row(time + 0.1, model.highest_sent))
         assert model.cwnd == inflated   # never deflated
 
     def test_fencepost_bug_spares_one_segment(self):
         from dataclasses import replace
         fencepost = replace(RENO, header_prediction_bug=False)
         model, time = self.prime(fencepost)
-        model.process_ack(ack_record(time, 1 + MSS))
+        model.process_ack(*ack_row(time, 1 + MSS))
         for i in range(3):
-            model.process_ack(ack_record(time + 0.01 * (i + 1), 1 + MSS))
+            model.process_ack(*ack_row(time + 0.01 * (i + 1), 1 + MSS))
         # Deflate cwnd manually into the fencepost's blind spot.
         model.cwnd = model.ssthresh + MSS
-        model.process_ack(ack_record(time + 0.1, 1 + 4 * MSS))
+        model.process_ack(*ack_row(time + 0.1, 1 + 4 * MSS))
         # Within one MSS above ssthresh: the buggy test skips deflation
         # (and the ack's own increase may then apply).
         assert model.cwnd >= model.ssthresh + MSS
 
     def test_solaris_recovery_bug_collapses_instead(self):
         model, time = self.prime(SOLARIS_23)
-        model.process_ack(ack_record(time, 1 + MSS))
+        model.process_ack(*ack_row(time, 1 + MSS))
         for i in range(3):
-            model.process_ack(ack_record(time + 0.01 * (i + 1), 1 + MSS))
+            model.process_ack(*ack_row(time + 0.01 * (i + 1), 1 + MSS))
         assert not model.in_fast_recovery
         assert model.cwnd == model.cwnd_mss
 
     def test_timeout_response(self):
         model, time = self.prime(RENO)
-        model.process_ack(ack_record(time, 1 + MSS))
+        model.process_ack(*ack_row(time, 1 + MSS))
         before = model.ssthresh
         model.apply_timeout(time + 2.0)
         assert model.cwnd == MSS

@@ -20,8 +20,9 @@ from repro.harness.corpus import write_corpus
 
 # Big enough that analyzing the whole corpus takes several seconds —
 # the interrupt must land while the batch is genuinely mid-flight.
+# Copies are cheap to make; scale them with the analyzer's speed.
 TRACE_BYTES = 786432
-COPIES = 8
+COPIES = 32
 
 
 def run_cli(args, **kwargs):
