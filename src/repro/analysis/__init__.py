@@ -10,7 +10,6 @@ from repro.analysis.seqplot import sequence_plot, render_ascii_plot
 from repro.analysis.connstats import (
     ConnectionStats,
     connection_stats,
-    split_connections,
 )
 from repro.analysis.compression import (
     CompressionEvent,
@@ -20,7 +19,6 @@ from repro.analysis.compression import (
 __all__ = [
     "ConnectionStats",
     "connection_stats",
-    "split_connections",
     "CompressionEvent",
     "detect_ack_compression",
     "describe",

@@ -4,9 +4,10 @@ A downstream user pointing this library at a pcap usually wants the
 overview numbers before any behavioral diagnosis: how much data
 moved, how fast, how lossy, what the RTT looked like, how bursty the
 sender was.  :func:`connection_stats` computes them from a single
-trace; :func:`split_connections` first separates a multi-connection
-capture into per-connection traces (real packet filters record
-whatever matches, often several connections at once).
+connection's trace.  A multi-connection capture (real packet filters
+record whatever matches, often several connections at once) is split
+first by the stream layer's :class:`~repro.stream.FlowTable`, the one
+connection splitter every front end shares.
 """
 
 from __future__ import annotations
@@ -14,24 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.packets import FlowKey
-from repro.trace.record import Trace, TraceRecord
+from repro.trace.record import Trace
 from repro.units import seq_diff, seq_ge, seq_gt
-
-
-def split_connections(trace: Trace) -> dict[frozenset, Trace]:
-    """Separate a capture into one trace per TCP connection.
-
-    Connections are keyed by the unordered pair of endpoints (both
-    directions of one connection map to the same key).  Record order
-    within each connection is preserved.
-    """
-    buckets: dict[frozenset, list[TraceRecord]] = {}
-    for record in trace.records:
-        key = frozenset((record.src, record.dst))
-        buckets.setdefault(key, []).append(record)
-    return {key: Trace(records=records, vantage=trace.vantage,
-                       filter_name=trace.filter_name)
-            for key, records in buckets.items()}
 
 
 @dataclass

@@ -194,7 +194,7 @@ def _command_calibrate(args: argparse.Namespace) -> int:
 def _command_demux(args: argparse.Namespace) -> int:
     import json
 
-    from repro.stream import IngestStats, analyze_stream
+    from repro.stream import IngestStats, analyze_stream, flow_payload
 
     stats = IngestStats()
     flows = 0
@@ -215,8 +215,8 @@ def _command_demux(args: argparse.Namespace) -> int:
             print(flow_report.report.render())
         print()
         if args.jsonl:
-            payload = {"trace": f"{args.trace}#{flow_report.name}"}
-            payload.update(flow_report.to_dict())
+            payload = flow_payload(flow_report,
+                                   f"{args.trace}#{flow_report.name}")
             jsonl_lines.append(json.dumps(payload, sort_keys=True))
     print(f"{flows} connection(s) demultiplexed from {args.trace}")
     if quarantined:
@@ -381,13 +381,18 @@ def _command_fuzz(args: argparse.Namespace) -> int:
 
 
 def _command_stats(args: argparse.Namespace) -> int:
-    from repro.analysis.connstats import connection_stats, split_connections
-    trace = read_pcap(args.trace)
-    connections = split_connections(trace)
-    print(f"{len(connections)} connection(s) in {args.trace}")
-    for connection in connections.values():
+    from repro.analysis.connstats import connection_stats
+    from repro.stream import demux_records, iter_pcap
+
+    # syn_only=False keeps connections already open when the capture
+    # started; index order is first-appearance order.
+    flows = sorted(demux_records(iter_pcap(args.trace, strict=True),
+                                 syn_only=False),
+                   key=lambda flow: flow.index)
+    print(f"{len(flows)} connection(s) in {args.trace}")
+    for flow in flows:
         print()
-        print(connection_stats(connection).render())
+        print(connection_stats(flow.to_trace()).render())
     return 0
 
 

@@ -46,6 +46,13 @@ ERROR_KINDS = ("decode", "io", "model", "timeout", "crash", "cancelled")
 TRANSIENT_KINDS = frozenset({"io", "timeout", "crash", "cancelled"})
 
 
+def is_durable(payloads: list[dict]) -> bool:
+    """True when no payload carries a transient ``error_kind``: the
+    one rule for whether a result may be cached or journaled."""
+    return all(payload.get("error_kind") not in TRANSIENT_KINDS
+               for payload in payloads)
+
+
 class AnalysisError(Exception):
     """A classified per-trace analysis failure.
 

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.errors import TRANSIENT_KINDS, classify_exception
+from repro.core.errors import classify_exception, is_durable
 from repro.core.report import analyze_trace
 from repro.harness.corpus import WrittenCorpusEntry
 from repro.harness.faults import FaultPlan
@@ -208,11 +208,6 @@ def analyze_item_stream(item: BatchItem) -> list[dict]:
     return payloads
 
 
-def _cacheable(payloads: list[dict]) -> bool:
-    return all(payload.get("error_kind") not in TRANSIENT_KINDS
-               for payload in payloads)
-
-
 def run_batch(items: list[BatchItem], jobs: int = 1,
               cache: ResultCache | None = None,
               stream: bool = False,
@@ -291,7 +286,7 @@ def run_batch(items: list[BatchItem], jobs: int = 1,
         # (best-effort) cache write can fail or be interrupted.
         if journal is not None:
             journal.record(item.name, digests[item.name], payloads)
-        if cache is not None and _cacheable(payloads):
+        if cache is not None and is_durable(payloads):
             cache.put(digests[item.name],
                       {"flows": payloads} if stream else payloads[0])
         for payload in payloads:

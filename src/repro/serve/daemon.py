@@ -121,9 +121,6 @@ class ServeConfig:
     #: Test/bench hook: environmental faults (ENOSPC, slow-io) in the
     #: daemon itself.
     resource_faults: ResourceFaultPlan | None = None
-    #: Extra FlowTable options (idle_timeout, max_flows, ...).  Leave
-    #: empty for strict live-vs-batch flow equivalence.
-    table_options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.on_rotate not in ROTATE_POLICIES:
@@ -172,8 +169,7 @@ class ServeDaemon:
         tailer = CaptureTailer(
             path, source=source,
             records_per_poll=self.config.records_per_poll,
-            on_retire=self.metrics.observe_retirement,
-            **self.config.table_options)
+            on_retire=self.metrics.observe_retirement)
         self._tailers.append(tailer)
         self._by_path[path] = tailer
         return tailer

@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import zlib
 
-from repro.core.errors import TRANSIENT_KINDS, AnalysisError
+from repro.core.errors import AnalysisError, is_durable
 from repro.harness.faults import FaultPlan
 from repro.pipeline.cache import trace_digest
 from repro.pipeline.journal import BatchJournal
@@ -176,7 +176,7 @@ class FlowScheduler:
                     self.breakers.record_failure(item.source)
                 else:
                     self.breakers.record_success(item.source)
-            if self.journal is not None and _journalable(payloads):
+            if self.journal is not None and is_durable(payloads):
                 self._record(item.name, digest, payloads)
             results.append((item.name, payloads))
         return results
@@ -240,11 +240,6 @@ class FlowScheduler:
 
     def close(self, graceful: bool = True) -> None:
         self.session.close(graceful=graceful)
-
-
-def _journalable(payloads: list[dict]) -> bool:
-    return all(payload.get("error_kind") not in TRANSIENT_KINDS
-               for payload in payloads)
 
 
 def _worker_fatal(payloads: list[dict]) -> bool:

@@ -23,9 +23,8 @@ Two backends implement the same interface:
   exactly the pre-columnar code — which is what the equivalence suite
   compares the vector kernels against.
 
-Backend selection is automatic (numpy if importable) and overridable
-through the ``REPRO_TRACE_BACKEND`` environment variable
-(``numpy`` / ``python`` / ``auto``) or :func:`set_backend` for tests.
+Backend selection is automatic (numpy if importable); tests and
+benchmarks pin one with :func:`set_backend`.
 
 Sequence numbers live in a 32-bit modular space; arrays hold them
 *unwrapped* relative to a per-trace base (the first record's seq) as
@@ -36,7 +35,6 @@ space — which the modular helpers themselves already assume.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:                      # pragma: no cover
@@ -52,8 +50,8 @@ except ImportError:                    # pragma: no cover
 _SEQ_HALF = 2**31
 _SEQ_SPACE = 2**32
 
-#: Explicit override set by :func:`set_backend`; None defers to the
-#: environment / autodetection.
+#: Explicit override set by :func:`set_backend`; None defers to
+#: autodetection.
 _forced_backend: str | None = None
 
 
@@ -70,22 +68,13 @@ def numpy_module():
 def active_backend() -> str:
     """The backend new column views will use: ``"numpy"`` or ``"python"``.
 
-    Resolution order: :func:`set_backend` override, then the
-    ``REPRO_TRACE_BACKEND`` environment variable, then autodetection.
-    Requesting numpy without numpy installed falls back to python —
-    the zero-dependency install must keep working under any
-    environment it inherits.
+    Resolution order: :func:`set_backend` override, then numpy if it
+    imported, else python.
     """
-    choice = _forced_backend
-    if choice is None:
-        choice = os.environ.get("REPRO_TRACE_BACKEND", "auto").lower()
-    if choice not in ("numpy", "python", "auto"):
-        raise ValueError(f"unknown trace backend {choice!r} "
-                         f"(expected numpy, python, or auto)")
-    if choice == "python":
+    if _forced_backend == "python":
         return "python"
     if _np is None:
-        if choice == "numpy" and _forced_backend == "numpy":
+        if _forced_backend == "numpy":
             raise RuntimeError("numpy backend forced but numpy is not "
                                "installed (pip install repro[perf])")
         return "python"
@@ -95,8 +84,7 @@ def active_backend() -> str:
 def set_backend(name: str | None) -> None:
     """Force the backend (``"numpy"``/``"python"``), or None for auto.
 
-    For tests and benchmarks; production selection goes through the
-    environment variable.
+    For tests and benchmarks; production selection is autodetection.
     """
     global _forced_backend
     if name is not None and name not in ("numpy", "python", "auto"):

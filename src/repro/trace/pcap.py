@@ -39,29 +39,16 @@ def write_pcap(trace: Trace, path: str | FilePath,
     or ``"little"``); readers detect either from the magic number, so
     both round-trip.  Packet *contents* are network order regardless.
     """
-    try:
-        endian = _BYTE_ORDER_PREFIX[byte_order]
-    except KeyError:
-        raise ValueError(f"byte_order must be 'big' or 'little', "
-                         f"not {byte_order!r}")
     addresses = addresses or AddressMap()
-    effective_snaplen = snaplen if snaplen is not None else 65535
-    with open(path, "wb") as handle:
-        handle.write(struct.pack(endian + "IHHiIII", PCAP_MAGIC, 2, 4, 0, 0,
-                                 effective_snaplen, LINKTYPE_RAW))
+
+    def frames():
         for record in trace.records:
             packet = encode_record(record, addresses)
-            original_len = len(packet)
-            if snaplen is not None:
-                packet = packet[:snaplen]
-            seconds = int(record.timestamp)
-            micros = int(round((record.timestamp - seconds) * 1e6))
-            if micros >= 1_000_000:
-                seconds += 1
-                micros -= 1_000_000
-            handle.write(struct.pack(endian + "IIII", seconds, micros,
-                                     len(packet), original_len))
-            handle.write(packet)
+            yield record.timestamp, packet[:snaplen], len(packet)
+
+    write_raw_pcap(frames(), path,
+                   snaplen=snaplen if snaplen is not None else 65535,
+                   byte_order=byte_order)
 
 
 def write_raw_pcap(frames: Iterable[tuple[float, bytes, int | None]],

@@ -1,11 +1,8 @@
-"""Per-connection statistics and multi-connection splitting."""
+"""Per-connection statistics."""
 
 import pytest
 
-from repro.analysis.connstats import (
-    connection_stats,
-    split_connections,
-)
+from repro.analysis.connstats import connection_stats
 from repro.trace.record import Trace
 
 from tests.conftest import cached_transfer
@@ -73,53 +70,3 @@ class TestConnectionStats:
         assert "51200 unique bytes" in text
         assert "rtt" in text
 
-
-class TestSplitConnections:
-    def merged_trace(self):
-        a = cached_transfer("reno").sender_trace
-        b = cached_transfer("linux-1.0").sender_trace
-        records = sorted(a.records + b.records, key=lambda r: r.timestamp)
-        return Trace(records=records, vantage="sender"), a, b
-
-    def test_splits_by_endpoint_pair(self):
-        merged, a, b = self.merged_trace()
-        # Both transfers use the same endpoints in our harness, so give
-        # them distinct ports first.
-        from dataclasses import replace as dc_replace
-        from repro.packets import Endpoint
-        rebased = []
-        for record in b.records:
-            src = Endpoint(record.src.addr, record.src.port + 1)
-            dst = Endpoint(record.dst.addr, record.dst.port + 1)
-            rebased.append(dc_replace(record, src=src, dst=dst))
-        merged = Trace(records=sorted(a.records + rebased,
-                                      key=lambda r: r.timestamp))
-        connections = split_connections(merged)
-        assert len(connections) == 2
-        sizes = sorted(len(t) for t in connections.values())
-        assert sizes == sorted([len(a), len(b)])
-
-    def test_single_connection_passthrough(self):
-        trace = cached_transfer("reno").sender_trace
-        connections = split_connections(trace)
-        assert len(connections) == 1
-        only = next(iter(connections.values()))
-        assert len(only) == len(trace)
-
-    def test_each_split_analyzable(self):
-        from repro.core import analyze_sender
-        from repro.tcp.catalog import get_behavior
-        merged, a, b = self.merged_trace()
-        from dataclasses import replace as dc_replace
-        from repro.packets import Endpoint
-        rebased = [dc_replace(r, src=Endpoint(r.src.addr, r.src.port + 1),
-                              dst=Endpoint(r.dst.addr, r.dst.port + 1))
-                   for r in b.records]
-        merged = Trace(records=sorted(a.records + rebased,
-                                      key=lambda r: r.timestamp),
-                       vantage="sender")
-        for connection in split_connections(merged).values():
-            flow = connection.primary_flow()
-            label = "reno" if flow.src.port == 1024 else "linux-1.0"
-            analysis = analyze_sender(connection, get_behavior(label))
-            assert analysis.violation_count == 0

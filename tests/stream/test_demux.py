@@ -4,12 +4,12 @@ import json
 
 import pytest
 
-from repro.analysis.connstats import split_connections
 from repro.core.report import analyze_trace
 from repro.harness.corpus import interleave_traces
 from repro.stream import IngestStats, analyze_stream, demux_pcap, iter_pcap
 from repro.stream.flowtable import demux_records
 from repro.trace.pcap import read_pcap, write_pcap
+from repro.trace.record import Trace
 from repro.trace.wire import AddressMap
 
 from tests.conftest import cached_transfer
@@ -69,7 +69,10 @@ class TestMultiConnectionFanOut:
     def test_flows_round_trip_record_sequences(self, interleaved):
         """Demuxed per-flow sequences match an eager read + split."""
         capture, path, addresses = interleaved
-        eager = split_connections(read_pcap(path, addresses=addresses))
+        eager = {}
+        for record in read_pcap(path, addresses=addresses).records:
+            key = frozenset((record.src, record.dst))
+            eager.setdefault(key, Trace()).records.append(record)
         flows = demux_records(iter_pcap(path, addresses=addresses))
         for flow in flows:
             key = frozenset((flow.key.a, flow.key.b))

@@ -1,8 +1,19 @@
 """The tcpanaly command-line front end."""
 
+import json
+from dataclasses import replace
+
 import pytest
 
+from repro.analysis.connstats import connection_stats
 from repro.cli import main
+from repro.harness.corpus import interleave_traces
+from repro.packets import RST
+from repro.stream import analyze_stream, flow_payload
+from repro.trace.pcap import read_pcap, write_pcap
+from repro.trace.record import Trace
+
+from tests.conftest import cached_transfer
 
 
 @pytest.fixture
@@ -233,12 +244,26 @@ class TestDemuxCommand:
     def test_jsonl_output(self, multi_pcap, tmp_path, capsys):
         jsonl = tmp_path / "flows.jsonl"
         assert main(["demux", multi_pcap, "--jsonl", str(jsonl)]) == 0
-        import json
         lines = [json.loads(line)
                  for line in jsonl.read_text().splitlines()]
         assert len(lines) == 4
         assert all("flow" in line and "calibration" in line
                    for line in lines)
+
+    def test_jsonl_lines_are_flow_payloads(self, multi_pcap, tmp_path,
+                                           capsys):
+        jsonl = tmp_path / "flows.jsonl"
+        assert main(["demux", multi_pcap, "--jsonl", str(jsonl)]) == 0
+        expected = [
+            json.dumps(flow_payload(flow_report,
+                                    f"{multi_pcap}#{flow_report.name}"),
+                       sort_keys=True)
+            for flow_report in analyze_stream(multi_pcap)]
+        lines = jsonl.read_text().splitlines()
+        assert lines == expected
+        for line in map(json.loads, lines):
+            assert line["implementation"] is None
+            assert line["records"] == line["flow"]["records"]
 
     def test_identify_ranks_per_flow(self, multi_pcap, capsys):
         assert main(["demux", multi_pcap, "--identify"]) == 0
@@ -320,6 +345,55 @@ class TestStatsCommand:
         assert "1 connection(s)" in out
         assert "20480 unique bytes" in out
         assert "rtt" in out
+
+    @staticmethod
+    def expected_output(path, connections):
+        blocks = [f"{len(connections)} connection(s) in {path}"]
+        blocks += [connection_stats(Trace(records=records)).render()
+                   for records in connections]
+        return "\n\n".join(blocks) + "\n"
+
+    def test_two_connections_listed_with_their_records(self, tmp_path,
+                                                       capsys):
+        capture = interleave_traces(
+            [cached_transfer("reno").sender_trace,
+             cached_transfer("linux-1.0").sender_trace],
+            ["reno", "linux-1.0"], start_interval=0.3)
+        path = tmp_path / "two.pcap"
+        write_pcap(capture.trace, path)
+        records = read_pcap(path).records
+        truth = [[r for r in records
+                  if flow.client.port in (r.src.port, r.dst.port)]
+                 for flow in capture.flows]
+        assert [len(c) for c in truth] \
+            == [flow.records for flow in capture.flows]
+        assert main(["stats", str(path)]) == 0
+        assert capsys.readouterr().out == self.expected_output(path, truth)
+
+    def test_connection_without_syn_still_listed(self, tmp_path, capsys):
+        trace = cached_transfer("reno").sender_trace
+        path = tmp_path / "no-syn.pcap"
+        write_pcap(Trace(records=[r for r in trace.records
+                                  if not r.is_syn]), path)
+        assert main(["stats", str(path)]) == 0
+        assert capsys.readouterr().out \
+            == self.expected_output(path, [read_pcap(path).records])
+
+    def test_reused_four_tuple_is_two_connections(self, tmp_path, capsys):
+        records = cached_transfer("reno").sender_trace.records
+        last = records[-1]
+        reset = replace(last, src=last.dst, dst=last.src,
+                        timestamp=last.timestamp + 0.01,
+                        flags=RST, payload=0)
+        first = records + [reset]
+        again = [replace(r, timestamp=r.timestamp + reset.timestamp + 1.0)
+                 for r in records]
+        path = tmp_path / "reused.pcap"
+        write_pcap(Trace(records=first + again), path)
+        read_back = read_pcap(path).records
+        truth = [read_back[:len(first)], read_back[len(first):]]
+        assert main(["stats", str(path)]) == 0
+        assert capsys.readouterr().out == self.expected_output(path, truth)
 
 
 class TestIdentifyReceiver:

@@ -16,13 +16,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.corpus import write_corpus
+from repro.harness.corpus import interleave_traces, write_corpus
+from repro.trace.pcap import read_pcap, write_pcap
 
 # Big enough that analyzing the whole corpus takes several seconds —
 # the interrupt must land while the batch is genuinely mid-flight.
 # Copies are cheap to make; scale them with the analyzer's speed.
 TRACE_BYTES = 786432
 COPIES = 32
+# demux analyzes one connection in well under a second; interleave
+# several so the interrupt lands mid-analysis, not after it.
+DEMUX_CONNECTIONS = 16
 
 
 def run_cli(args, **kwargs):
@@ -46,6 +50,16 @@ def slow_corpus(tmp_path_factory):
     for receiver in outdir.glob("*-receiver.pcap"):
         receiver.unlink()
     return outdir
+
+
+@pytest.fixture(scope="module")
+def slow_capture(slow_corpus, tmp_path_factory):
+    donor = read_pcap(sorted(slow_corpus.glob("*.pcap"))[0])
+    capture = interleave_traces([donor] * DEMUX_CONNECTIONS,
+                                ["reno"] * DEMUX_CONNECTIONS)
+    path = tmp_path_factory.mktemp("interrupt-capture") / "multi.pcap"
+    write_pcap(capture.trace, path)
+    return path
 
 
 class TestBatchInterrupt:
@@ -79,10 +93,9 @@ class TestBatchInterrupt:
         assert len(lines) == COPIES
         assert all("error" not in json.loads(line) for line in lines)
 
-    def test_interrupt_outside_batch_has_no_resume_hint(self, slow_corpus):
-        capture = sorted(slow_corpus.glob("*.pcap"))[0]
-        proc = run_cli(["demux", str(capture), "--identify"])
-        time.sleep(0.5)
+    def test_interrupt_outside_batch_has_no_resume_hint(self, slow_capture):
+        proc = run_cli(["demux", str(slow_capture), "--identify"])
+        time.sleep(1.5)
         if proc.poll() is not None:
             pytest.skip("demux finished before the interrupt landed")
         proc.send_signal(signal.SIGINT)
@@ -91,7 +104,7 @@ class TestBatchInterrupt:
             or "KeyboardInterrupt" in stderr
         if proc.returncode != 130 and startup_casualty \
                 and "interrupted" not in stderr:
-            # On a loaded machine 0.5s can still be interpreter
+            # On a loaded machine 1.5s can still be interpreter
             # startup: the CLI's clean-exit handling wasn't reached
             # (default disposition kill, rc -SIGINT, or a bare
             # KeyboardInterrupt traceback mid-import).
