@@ -596,7 +596,8 @@ def _replay(pass_one: SenderPassOne, behavior: TCPBehavior,
     # pushes this candidate's fit score past ``abort_score`` AND past
     # the category-"incorrect" floor, finishing the replay cannot
     # change the identification outcome.  Checked only outside quench
-    # trials, because a trial rollback can retract violations.
+    # trials, because a trial rollback can retract violations.  The
+    # engine's replay sharing (``reuses_replay``) mirrors this test.
     incorrect_floor = max(1, n_rows // 50)
 
     index = 0
@@ -710,7 +711,9 @@ def _quench_inference(state: _Replay, record: TraceRecord,
     # A quench collapses the window to one segment, so the sender goes
     # *quiet* for of order a round trip.  A merely buffer-limited
     # sender (§6.2 sender window) keeps transmitting in step with the
-    # ack clock; without a genuine lull, do not infer a quench.
+    # ack clock; without a genuine lull, do not infer a quench.  (The
+    # engine's ``replay_conditions`` relies on this test: a trace with
+    # no gap of 0.05 s between sends never starts a trial.)
     srtt = getattr(model.estimator, "srtt", None) or 0.1
     if time - state.last_send_time < max(0.05, 0.5 * srtt):
         return None

@@ -137,6 +137,11 @@ class SenderModel:
     Events arrive as plain scalars — the analyzer reads them from pass
     one's per-trace rows — so a replay step never touches a
     :class:`~repro.trace.record.TraceRecord`.
+
+    Where each ``behavior`` field is read matters beyond this class:
+    the identification engine's ``REPLAY_RULES`` drop fields from a
+    trace's replay key by proving their read sites unreachable, and
+    tests/core/test_engine.py audits those sites.
     """
 
     def __init__(self, behavior: TCPBehavior, mss: int, iss: int,

@@ -1,25 +1,36 @@
 """The identification engine's one promise: same answer, less work.
 
 The engine (repro.core.engine) shares pass-one facts, replays each
-behavior-equivalence class once, prefilters statically impossible
-candidates, and aborts hopeless replays — every trick is only
-admissible because the resulting ranking is identical to the
-exhaustive oracle's.  These tests pin that equivalence across the
-catalog and the scenario corpus, plus the engine-specific behaviors
-(abort marking, pruning, determinism) and the slots regression for
-the hot dataclasses.
+behavior-equivalence class once — and each trace-conditioned replay
+key once per trace — prefilters statically impossible candidates,
+and aborts hopeless replays: every trick is only admissible because
+the resulting ranking is identical to the exhaustive oracle's.  These
+tests pin that equivalence across the catalog, the scenario corpus
+and fuzz plans, audit the read sites the trace-conditioned rules rest
+on, plus the engine-specific behaviors (abort marking, pruning,
+determinism) and the slots regression for the hot dataclasses.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import enum
+import inspect
+import random
 
 import pytest
 
+import repro.core.engine as engine_module
 from repro.core.engine import (
+    LULL_S,
+    REPLAY_RULES,
     IdentificationEngine,
     prefilter_reason,
     receiver_signature,
+    replay_conditions,
+    replay_key,
+    reuses_replay,
     sender_signature,
 )
 from repro.core.fit import (
@@ -28,11 +39,20 @@ from repro.core.fit import (
     identify_receiver,
 )
 from repro.core.report import analyze_trace
-from repro.core.sender.analyzer import extract_pass_one
+from repro.core.sender import analyzer, windows
+from repro.core.sender.analyzer import SenderPassOne, extract_pass_one
+from repro.fuzz.generator import iter_plans
+from repro.fuzz.ingredients import RECORD_MANGLERS
+from repro.fuzz.runner import _build_filter
+from repro.harness.scenarios import traced_transfer
+from repro.tcp import params, timers
 from repro.tcp.catalog import CATALOG, get_behavior
+from repro.tcp.params import QuenchResponse, TCPBehavior
 from repro.trace.record import TraceRecord
+from repro.trace.text import parse_trace
 
 from tests.conftest import cached_transfer
+from tests.core.test_replay_golden import QUENCH_FIXTURE, _pin
 
 
 def ranking(fits):
@@ -245,6 +265,349 @@ class TestSharedPassOne:
         payload = report.to_dict()
         assert payload["identification"]["best"] == \
             identify_implementation(trace).best.implementation
+
+
+def _analysis(analysis) -> tuple | None:
+    """The pinned analysis plus every classification's explanation."""
+    if analysis is None:
+        return None
+    return (_pin(analysis),
+            [(c.kind, c.response_delay, c.note, c.flight)
+             for c in analysis.classifications])
+
+
+def _snapshot(report) -> list:
+    """Everything a fit reports, plus its analysis."""
+    return [(fit.to_dict(), _analysis(fit.analysis)) for fit in report.fits]
+
+
+def _plan_sender_trace(plan):
+    """A fuzz plan's sender trace, filter faults and record manglers
+    applied as the sweep applies them."""
+    transfer = traced_transfer(
+        get_behavior(plan.implementation), scenario=plan.scenario,
+        data_size=plan.data_size, seed=plan.seed,
+        sender_filter=_build_filter(plan), max_duration=plan.max_duration)
+    trace = transfer.sender_trace
+    for name in plan.record_manglers:
+        trace = RECORD_MANGLERS[name](
+            trace, random.Random(f"record-{plan.seed}-{name}"))
+    return trace
+
+
+SWEEP_STACKS = ["reno", "tahoe", "net3", "linux-1.0", "linux-2.0.30",
+                "solaris-2.4", "trumpet-2.0b", "windows-95"]
+
+
+def _flip(value):
+    """Some other value of the same type."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, enum.Enum):
+        members = list(type(value))
+        return members[(members.index(value) + 1) % len(members)]
+    if value is None:
+        return 4
+    if isinstance(value, int):
+        return value + 1
+    return value * 1.5
+
+
+#: Four stacks plus, per stack, one variant per field some rule drops:
+#: a rule that drops a field the trace does make the replay read
+#: merges a variant with its stack and diverges from the oracle.
+VARIANTS = {
+    f"{name}+{field}" if field else name:
+        dataclasses.replace(behavior, **{field: _flip(getattr(behavior,
+                                                              field))})
+        if field else behavior
+    for name in ("reno", "tahoe", "linux-1.0", "solaris-2.4")
+    for behavior in [get_behavior(name)]
+    for field in ("", *(field for rule in REPLAY_RULES.values()
+                        for field in rule.fields))
+}
+
+
+class TestTraceConditionedKeys:
+    """Sharing replays across trace-conditioned keys changes nothing
+    but the number of replays: every fit and every pinned analysis
+    matches the per-class oracle (``share_replays=False``)."""
+
+    @pytest.mark.parametrize("plan", [
+        plan for plan in iter_plans(0, 40) if plan.vantage == "sender"],
+        ids=lambda plan: f"seed{plan.seed}")
+    def test_fuzz_plans_match_the_per_class_oracle(self, plan):
+        trace = _plan_sender_trace(plan)
+        shared = IdentificationEngine().identify_sender(trace)
+        oracle = IdentificationEngine(
+            share_replays=False).identify_sender(trace)
+        assert _snapshot(shared) == _snapshot(oracle)
+
+    @pytest.mark.parametrize("candidates", [CATALOG, VARIANTS],
+                             ids=["catalog", "variants"])
+    @pytest.mark.parametrize("scenario",
+                             ["lan", "wan-lossy", "congested",
+                              "transatlantic"])
+    def test_catalog_sweep_matches_the_per_class_oracle(self, scenario,
+                                                        candidates):
+        engine = IdentificationEngine(candidates)
+        oracle = IdentificationEngine(candidates, share_replays=False)
+        for implementation in SWEEP_STACKS:
+            trace = cached_transfer(implementation, scenario,
+                                    data_size=24576).sender_trace
+            pass_one = extract_pass_one(trace)
+            assert _snapshot(engine.identify_sender(pass_one=pass_one)) \
+                == _snapshot(oracle.identify_sender(pass_one=pass_one)), \
+                implementation
+
+    @pytest.mark.parametrize("source", ["quench-fixture",
+                                        "reno-wan-lossy-96k"])
+    def test_variants_where_quench_and_timeout_rules_bite(self, source):
+        # A committed quench trial; timeouts after dup-ack runs, where
+        # clear_dupacks_on_timeout matters.
+        if source == "quench-fixture":
+            trace = parse_trace(QUENCH_FIXTURE.read_text(),
+                                vantage="sender")
+        else:
+            trace = cached_transfer("reno", "wan-lossy",
+                                    data_size=98304).sender_trace
+        pass_one = extract_pass_one(trace)
+        shared = IdentificationEngine(VARIANTS).identify_sender(
+            pass_one=pass_one)
+        oracle = IdentificationEngine(
+            VARIANTS, share_replays=False).identify_sender(pass_one=pass_one)
+        assert _snapshot(shared) == _snapshot(oracle)
+
+    def test_clean_lan_trace_replays_fewer_than_its_static_classes(
+            self, monkeypatch):
+        engine = IdentificationEngine()
+        trace = cached_transfer("reno", "lan", data_size=24576).sender_trace
+        pass_one = extract_pass_one(trace)
+        conditions = replay_conditions(pass_one)
+        assert not conditions.retransmits and conditions.max_dupacks == 0
+        calls = []
+        real = engine_module.analyze_sender
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "analyze_sender", counting)
+        engine.identify_sender(pass_one=pass_one)
+        # Static classes alone replay every class: the catalog
+        # prefilters nothing here.
+        assert len(calls) < len(engine._sender_groups)
+
+    def test_a_later_lower_bound_replays_instead_of_reusing(self):
+        # Stretching a clean LAN trace's clock turns every response
+        # delay huge without adding a violation.  "a-wide" opens wide
+        # and completes first with a huge score; "b-twin" (ssthresh of
+        # two segments) then completes under that bound with many
+        # violations; "c-true" completes with none and lowers the bound;
+        # "d-twin" differs from "b-twin" only in a field this trace
+        # never reads, so it shares b-twin's key, but under the lower
+        # bound its own replay aborts.
+        transfer = cached_transfer("reno", "lan", data_size=96 * 1024)
+        trace = transfer.sender_trace
+        trace = dataclasses.replace(trace, records=[
+            dataclasses.replace(record, timestamp=record.timestamp * 1e5)
+            for record in trace.records])
+        base = dataclasses.replace(
+            get_behavior("reno"),
+            quench_response=QuenchResponse.DECREMENT_CWND)
+        twin = dataclasses.replace(base, initial_ssthresh_segments=2)
+        candidates = {
+            "a-wide": dataclasses.replace(base, initial_cwnd_segments=64),
+            "b-twin": twin,
+            "c-true": base,
+            "d-twin": dataclasses.replace(
+                twin, fencepost_bug=not twin.fencepost_bug),
+        }
+        pass_one = extract_pass_one(trace)
+        conditions = replay_conditions(pass_one)
+        assert replay_key(twin, conditions) == \
+            replay_key(candidates["d-twin"], conditions)
+        shared = IdentificationEngine(candidates).identify_sender(
+            pass_one=pass_one)
+        oracle = IdentificationEngine(
+            candidates, share_replays=False).identify_sender(
+                pass_one=pass_one)
+        fits = {fit.implementation: fit for fit in shared.fits}
+        assert not fits["b-twin"].aborted
+        assert fits["d-twin"].aborted
+        assert fits["d-twin"].analysis.notes[0].startswith(
+            "replay aborted")
+        assert _snapshot(shared) == _snapshot(oracle)
+
+    def test_reuse_predicate(self):
+        analysis = analyze_trace(
+            cached_transfer("reno", "wan").sender_trace,
+            get_behavior("reno")).sender
+        completed = dataclasses.replace(analysis, violations=[None] * 12)
+        assert reuses_replay(completed, 500.0, 120.0, floor=1)
+        assert not reuses_replay(completed, 500.0, 100.0, floor=1)
+        assert reuses_replay(completed, 500.0, 100.0, floor=12)
+        assert reuses_replay(completed, None, None, floor=1)
+        aborted = dataclasses.replace(completed, replay_aborted=True)
+        assert reuses_replay(aborted, 100.0, 100.0, floor=1)
+        assert not reuses_replay(aborted, 120.0, 100.0, floor=1)
+
+
+def _pass_one(iss: int, data_rows, ack_rows=(),
+              synack_time: float = 0.0) -> SenderPassOne:
+    facts = extract_pass_one(cached_transfer("reno", "wan").sender_trace).facts
+    facts = dataclasses.replace(facts, iss=iss, synack_time=synack_time)
+    return SenderPassOne(facts=facts, data=[], acks=[],
+                         data_rows=list(data_rows), ack_rows=list(ack_rows))
+
+
+def _rows(iss: int, *starts: int, size: int = 100, gap: float = 0.001):
+    """Data rows of *size* bytes at offsets *starts* from iss+1."""
+    return [(0.01 + i * gap, (iss + 1 + s) % 2**32,
+             (iss + 1 + s + size) % 2**32, size)
+            for i, s in enumerate(starts)]
+
+
+class TestReplayConditions:
+    @pytest.mark.parametrize("iss", [1000, 2**32 - 250])
+    def test_resend_below_the_high_end_is_a_retransmission(self, iss):
+        # The second ISS puts the wrap inside the transfer.
+        clean = replay_conditions(_pass_one(iss, _rows(iss, 0, 100, 200)))
+        assert not clean.retransmits
+        resend = replay_conditions(_pass_one(iss, _rows(iss, 0, 100, 200,
+                                                        100, 300)))
+        assert resend.retransmits
+
+    def test_first_ack_at_a_value_never_counts_as_a_dup(self):
+        iss = 2**32 - 50
+        first = (iss + 1) % 2**32
+        acks = [(0.1, (first + 100) % 2**32, 8192, 0),   # advancing
+                (0.2, (first + 100) % 2**32, 8192, 0),
+                (0.3, (first + 100) % 2**32, 8192, 7),   # carries data
+                (0.4, (first + 100) % 2**32, 8192, 0),
+                (0.5, (first + 200) % 2**32, 8192, 5)]   # first at 200
+        assert replay_conditions(
+            _pass_one(iss, _rows(iss, 0), acks)).max_dupacks == 2
+        # snd_una starts at iss+1, so every pure ack there counts.
+        at_start = [(0.1, first, 8192, 0)] * 3
+        assert replay_conditions(
+            _pass_one(iss, _rows(iss, 0), at_start)).max_dupacks == 3
+        assert replay_conditions(_pass_one(iss, _rows(iss, 0))
+                                 ).max_dupacks == 0
+
+    def test_gap_of_exactly_the_lull_threshold_is_a_lull(self):
+        assert 0.05 - 0.0 == LULL_S
+        rows = _rows(0, 0, 100)
+        at = [(0.05, *rows[0][1:]), (0.051, *rows[1][1:])]
+        assert replay_conditions(_pass_one(0, at)).lull
+        below = [(0.0499, *rows[0][1:]), (0.051, *rows[1][1:])]
+        assert not replay_conditions(_pass_one(0, below)).lull
+        later = [(0.01, *rows[0][1:]), (0.25, *rows[1][1:])]
+        assert replay_conditions(_pass_one(0, later)).lull
+
+
+#: The modules whose behavior reads the replay rules must account for.
+REPLAY_MODULES = {"windows": windows, "analyzer": analyzer,
+                  "params": params, "timers": timers}
+
+
+class _Sites(ast.NodeVisitor):
+    """``behavior.<field>`` reads and calls, by enclosing qualname."""
+
+    def __init__(self, module: str):
+        self.scope = [module]
+        self.reads: list[tuple[str, str]] = []
+        self.calls: list[tuple[str, str]] = []
+
+    def _nested(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = _nested
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        value = node.value
+        if (isinstance(value, ast.Name) and value.id == "behavior") or (
+                isinstance(value, ast.Attribute)
+                and value.attr == "behavior"):
+            self.reads.append((node.attr, ".".join(self.scope)))
+        self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name:
+            self.calls.append((name, ".".join(self.scope)))
+        self.generic_visit(node)
+
+
+def _scan() -> _Sites:
+    sites = _Sites("")
+    for name, module in REPLAY_MODULES.items():
+        visitor = _Sites(name)
+        visitor.visit(ast.parse(inspect.getsource(module)))
+        sites.reads += visitor.reads
+        sites.calls += visitor.calls
+    return sites
+
+
+def _function(module, qualname: str):
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.FunctionDef) and node.name == qualname:
+            return node
+    raise LookupError(qualname)
+
+
+class TestReplayRuleAudit:
+    """Each rule's proof covers the read sites its table entry names;
+    a new read site must fail here, not silently break exactness."""
+
+    def test_rule_fields_are_sender_replay_fields(self):
+        fields = {field.name for field in dataclasses.fields(TCPBehavior)}
+        for name, rule in REPLAY_RULES.items():
+            for field in rule.fields:
+                assert field in fields, (name, field)
+                assert field in engine_module._SENDER_FIELDS, (name, field)
+
+    @pytest.mark.parametrize("rule", sorted(REPLAY_RULES))
+    def test_dropped_fields_are_read_only_at_the_named_sites(self, rule):
+        entry = REPLAY_RULES[rule]
+        reads = [(field, site) for field, site in _scan().reads
+                 if field in entry.fields]
+        assert reads, f"{rule}: no read site left; drop the rule"
+        stray = [(field, site) for field, site in reads
+                 if site not in entry.sites]
+        assert not stray, f"{rule}: unaccounted read sites {stray}"
+
+    @pytest.mark.parametrize("rule", sorted(REPLAY_RULES))
+    def test_shared_helpers_are_called_only_from_named_sites(self, rule):
+        # The tcp helpers read the fields for whoever calls them, so
+        # a rule's proof covers them only through their callers.
+        entry = REPLAY_RULES[rule]
+        helpers = {site.split(".")[1] for site in entry.sites
+                   if site.split(".")[0] in ("params", "timers")
+                   and site.count(".") == 1}
+        stray = [(helper, caller) for helper, caller in _scan().calls
+                 if helper in helpers and caller not in entry.sites]
+        assert not stray, f"{rule}: unaccounted helper calls {stray}"
+
+    def test_engine_mirrors_the_replay_guards(self):
+        # The lull condition mirrors _quench_inference's gap test and
+        # the reuse predicate _replay's category-"incorrect" floor.
+        lull_test = next(
+            node for node in ast.walk(_function(analyzer,
+                                                "_quench_inference"))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "max")
+        assert ast.literal_eval(lull_test.args[0]) == LULL_S
+        floor = next(
+            node for node in ast.walk(_function(analyzer, "_replay"))
+            if isinstance(node, ast.Assign)
+            and getattr(node.targets[0], "id", None) == "incorrect_floor")
+        assert ast.unparse(floor.value) == "max(1, n_rows // 50)"
+        assert "max(1, len(pass_one.data_rows) // 50)" in inspect.getsource(
+            IdentificationEngine.identify_sender)
 
 
 class TestSlots:
