@@ -52,9 +52,9 @@ def run_ablation():
             outbound // 2)
 
 
-def test_a1_behavior_knowledge_ablation(once):
+def test_a1_behavior_knowledge_ablation():
     (false_with, false_without, true_with, true_without,
-     duplicated) = once(run_ablation)
+     duplicated) = run_ablation()
 
     emit("A1: behavior knowledge in duplicate detection (ablation)", [
         f"clean Linux 1.0 traces (4 seeds): false positives "

@@ -84,8 +84,8 @@ def run_ablation():
     return rows
 
 
-def test_c10_design_ablation(once):
-    rows = once(run_ablation)
+def test_c10_design_ablation():
+    rows = run_ablation()
 
     lines = [f"{'trace':28s} {'eager+generic':>14s} {'lazy+generic':>13s} "
              f"{'full tcpanaly':>14s}"]

@@ -51,8 +51,8 @@ def run_sweep():
     return rows
 
 
-def test_c1_filter_drop_detection(once):
-    rows = once(run_sweep)
+def test_c1_filter_drop_detection():
+    rows = run_sweep()
 
     lines = [f"{'rate':>6s} {'snd true':>9s} {'snd found':>10s} "
              f"{'rcv true':>9s} {'rcv found':>10s}"]

@@ -48,8 +48,8 @@ def run_populations():
     return solaris_flagged, clean_flagged, events_total
 
 
-def test_c2_resequencing_detection(once):
-    solaris_flagged, clean_flagged, events_total = once(run_populations)
+def test_c2_resequencing_detection():
+    solaris_flagged, clean_flagged, events_total = run_populations()
 
     emit("C2: resequencing detection (§3.1.3)", [
         f"Solaris-style filter: {solaris_flagged}/{TRACES} traces flagged "

@@ -73,9 +73,9 @@ def run_clock_study():
             forward_travel)
 
 
-def test_c3_clock_calibration(once):
+def test_c3_clock_calibration():
     (travel_traces, travel_events, clean_events, skew, step,
-     forward_travel) = once(run_clock_study)
+     forward_travel) = run_clock_study()
 
     emit("C3: time travel and clock calibration (§3.1.4)", [
         f"BSDI-style clocks: {travel_traces}/{TRACES} traces show time "

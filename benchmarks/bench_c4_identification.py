@@ -70,8 +70,8 @@ def run_matrix():
     return matrix
 
 
-def test_c4_identification_matrix(once):
-    matrix = once(run_matrix)
+def test_c4_identification_matrix():
+    matrix = run_matrix()
 
     lines = [f"{'true implementation':20s} {'best fit':16s} close fits"]
     for truth, (close, best) in matrix.items():

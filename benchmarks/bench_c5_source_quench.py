@@ -48,8 +48,8 @@ def run_quench_study():
     return rows
 
 
-def test_c5_source_quench_inference(once):
-    rows = once(run_quench_study)
+def test_c5_source_quench_inference():
+    rows = run_quench_study()
 
     lines = [f"{'implementation':16s} {'true':>5s} {'inferred':>9s} "
              f"{'violations':>11s} {'false-pos':>10s}"]

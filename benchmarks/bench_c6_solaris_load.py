@@ -51,8 +51,8 @@ def per_packet_transmissions(trace, first_n=4):
     return [counts[s] for s in starts]
 
 
-def test_c6_solaris_load_inflation(once):
-    rows = once(run_sweep)
+def test_c6_solaris_load_inflation():
+    rows = run_sweep()
 
     lines = [f"{'RTT (s)':>8s} {'load ratio':>11s} {'rexmits':>8s}   "
              f"(loss-free path: every retransmission unnecessary)"]

@@ -37,8 +37,8 @@ def run_classification():
     return ack_class_table(analyses)
 
 
-def test_c8_ack_classification(once):
-    table = once(run_classification)
+def test_c8_ack_classification():
+    table = run_classification()
 
     lines = [f"{'implementation':16s} {'acks':>6s} {'delayed':>8s} "
              f"{'normal':>7s} {'stretch':>8s} {'delay min/mean/max (ms)':>24s}"]

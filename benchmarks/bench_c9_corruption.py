@@ -46,8 +46,8 @@ def run_study():
     return rows
 
 
-def test_c9_corruption_inference(once):
-    rows = once(run_study)
+def test_c9_corruption_inference():
+    rows = run_study()
 
     lines = [f"{'implementation':16s} {'rate':>6s} {'truth':>6s} "
              f"{'verified':>9s} {'inferred':>9s} {'missed':>7s} "

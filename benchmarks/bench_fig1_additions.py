@@ -41,8 +41,8 @@ def run_duplicated_capture():
     return trace, duplicates, slopes, cleaned, analysis
 
 
-def test_fig1_filter_duplication(once):
-    trace, duplicates, slopes, cleaned, analysis = once(run_duplicated_capture)
+def test_fig1_filter_duplication():
+    trace, duplicates, slopes, cleaned, analysis = run_duplicated_capture()
 
     flow = trace.primary_flow()
     outbound = [r for r in trace if r.flow == flow and r.payload > 0]

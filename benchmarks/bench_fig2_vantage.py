@@ -93,8 +93,8 @@ def run_figure2():
     return trace, rexmit_index, lazy, calibration, eager_failure
 
 
-def test_fig2_vantage_point(once):
-    trace, rexmit_index, lazy, calibration, eager_failure = once(run_figure2)
+def test_fig2_vantage_point():
+    trace, rexmit_index, lazy, calibration, eager_failure = run_figure2()
 
     base = trace.start_time
     excerpt = [

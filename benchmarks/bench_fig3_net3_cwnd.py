@@ -53,8 +53,8 @@ def run_figure3():
     return buggy_trace, buggy_result, normal_trace, normal_result
 
 
-def test_fig3_net3_uninitialized_cwnd(once):
-    buggy_trace, buggy_result, normal_trace, normal_result = once(run_figure3)
+def test_fig3_net3_uninitialized_cwnd():
+    buggy_trace, buggy_result, normal_trace, normal_result = run_figure3()
 
     buggy_burst = first_burst_size(buggy_trace)
     normal_burst = first_burst_size(normal_trace)

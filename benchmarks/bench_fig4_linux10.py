@@ -31,8 +31,8 @@ def run_figure4():
     return linux, reno, analysis
 
 
-def test_fig4_linux10_broken_retransmission(once):
-    linux, reno, analysis = once(run_figure4)
+def test_fig4_linux10_broken_retransmission():
+    linux, reno, analysis = run_figure4()
 
     linux_sender = linux.result.sender
     reno_sender = reno.result.sender

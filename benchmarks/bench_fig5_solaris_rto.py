@@ -33,8 +33,8 @@ def run_figure5():
     return solaris, reno, analysis
 
 
-def test_fig5_solaris_premature_retransmission(once):
-    solaris, reno, analysis = once(run_figure5)
+def test_fig5_solaris_premature_retransmission():
+    solaris, reno, analysis = run_figure5()
 
     sender = solaris.result.sender
     trace = solaris.sender_trace

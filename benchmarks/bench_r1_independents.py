@@ -35,8 +35,8 @@ def run_comparison():
     return rows
 
 
-def test_r1_independent_implementations(once):
-    rows = once(run_comparison)
+def test_r1_independent_implementations():
+    rows = run_comparison()
 
     lines = [f"{'implementation':16s} {'lossy rexmit':>13s} "
              f"{'of packets':>11s} {'high-RTT rexmit':>16s}"]

@@ -61,8 +61,8 @@ def run_study():
     return passive, probed
 
 
-def test_r2_receiver_identification(once):
-    passive, probed = once(run_study)
+def test_r2_receiver_identification():
+    passive, probed = run_study()
 
     lines = ["passive bulk-transfer traces (policy families):"]
     for truth, close in passive.items():

@@ -43,8 +43,8 @@ def run_inference():
     return rows
 
 
-def test_r3_initial_ssthresh_inference(once):
-    rows = once(run_inference)
+def test_r3_initial_ssthresh_inference():
+    rows = run_inference()
 
     lines = [f"{'implementation':16s} {'scenario':10s} {'true init':>10s} "
              f"{'inferred':>20s}"]

@@ -88,8 +88,8 @@ def run_study():
     return rows
 
 
-def test_r4_ack_generation_noise(once):
-    rows = once(run_study)
+def test_r4_ack_generation_noise():
+    rows = run_study()
 
     lines = [f"{'receiver':14s} {'n':>4s} {'p50 noise':>10s} "
              f"{'p90 noise':>10s}  policy"]

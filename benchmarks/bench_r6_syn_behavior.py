@@ -87,9 +87,9 @@ def run_study():
             len(storm))
 
 
-def test_r6_syn_behavior(once):
+def test_r6_syn_behavior():
     (total_syns, retransmitted, retriers, backoff_ok, storm_rate,
-     storm_count) = once(run_study)
+     storm_count) = run_study()
 
     fraction = retransmitted / total_syns
     emit("R6: web-server SYN observations (§2 / [St96], reconstructed)", [

@@ -164,7 +164,7 @@ def run_serve_chaos(directory):
     }
 
 
-def test_serve_chaos_liveness_gate(once, tmp_path):
+def test_serve_chaos_liveness_gate(tmp_path):
     # SERVE_CHAOS_OUT redirects the working directory (captures, sink,
     # journal) somewhere CI can upload as a reproducer on failure.
     out_override = os.environ.get("SERVE_CHAOS_OUT")
@@ -172,7 +172,7 @@ def test_serve_chaos_liveness_gate(once, tmp_path):
     if out_override:
         workdir = Path(out_override)
         workdir.mkdir(parents=True, exist_ok=True)
-    result = once(run_serve_chaos, workdir)
+    result = run_serve_chaos(workdir)
     counters = result["counters"]
     states = result["states"]
 

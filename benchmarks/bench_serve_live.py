@@ -129,8 +129,8 @@ def run_serve_live(directory):
     }
 
 
-def test_serve_live_equivalence_and_memory(once, tmp_path):
-    result = once(run_serve_live, tmp_path)
+def test_serve_live_equivalence_and_memory(tmp_path):
+    result = run_serve_live(tmp_path)
 
     kib = 1024.0
     base, long_ = result["base_tail"], result["long_tail"]

@@ -27,8 +27,8 @@ def build_corpus():
     return entries, corpus_summary(entries)
 
 
-def test_table1_corpus(once):
-    entries, summary = once(build_corpus)
+def test_table1_corpus():
+    entries, summary = build_corpus()
 
     lines = [f"{'Implementation':16s} {'# Sender':>9s} {'# Receiver':>11s} "
              f"{'Lineage':>8s}"]

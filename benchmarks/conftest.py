@@ -1,27 +1,16 @@
 """Benchmark harness configuration.
 
 Each benchmark module regenerates one of the paper's tables, figures,
-or quantitative claims (see DESIGN.md's experiment index).  The
-benchmarked kernel is run once (simulations are deterministic; there
-is no statistical noise to average away) and the reproduced artifact
-is printed, so running with ``-s`` shows the regenerated table or
-figure next to the paper's expectation.
+or quantitative claims (see DESIGN.md's experiment index).  Each test
+runs its kernel once (simulations are deterministic; there is no
+statistical noise to average away), asserts the reproduced shape, and
+prints the reproduced artifact, so running with ``-s`` shows the
+regenerated table or figure next to the paper's expectation.  Nothing
+here measures speed: throughput and per-layer timings come from
+``perfbench/``.
 """
 
 from __future__ import annotations
-
-import pytest
-
-
-@pytest.fixture
-def once(benchmark):
-    """Run the benchmark kernel exactly once and return its result."""
-
-    def run(function, *args, **kwargs):
-        return benchmark.pedantic(function, args=args, kwargs=kwargs,
-                                  rounds=1, iterations=1)
-
-    return run
 
 
 def emit(title: str, lines) -> None:

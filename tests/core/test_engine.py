@@ -134,9 +134,21 @@ class TestReceiverEquivalence:
 
 
 class TestEarlyAbort:
-    def test_hopeless_candidates_are_marked_aborted(self):
+    def test_hopeless_candidates_are_marked_aborted(self, monkeypatch):
+        calls = []
+        real = engine_module.analyze_sender
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "analyze_sender", counting)
         trace = cached_transfer("reno", "wan-lossy").sender_trace
         report = IdentificationEngine().identify_sender(trace)
+        # The work gate: the exhaustive loop replays every catalog
+        # entry; sharing, pruning and aborting must replay fewer.
+        assert len(calls) < len(CATALOG)
+        assert report.best.category == "close"
         aborted = [fit for fit in report.fits if fit.aborted]
         assert aborted, "wan-lossy reno should make some candidates abort"
         for fit in aborted:
