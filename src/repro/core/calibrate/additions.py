@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.trace.columns import numpy_module
+import numpy as np
+
 from repro.trace.record import Trace, TraceRecord
 from repro.units import seq_diff
 
@@ -78,9 +79,7 @@ def detect_duplicates(trace: Trace, vantage: str | None = None,
         return []
     outbound_flow = flow if vantage == "sender" else flow.reversed()
     columns = trace.columns()
-    if columns.is_vector and \
-            not _has_close_header_repeat(columns,
-                                         columns.flow_id(outbound_flow)):
+    if not _has_close_header_repeat(columns, columns.flow_id(outbound_flow)):
         return []
     if behavior is not None and behavior.dup_ack_triggers_flight_retransmit:
         dup_trigger = 1
@@ -138,7 +137,6 @@ def _has_close_header_repeat(columns, fid) -> bool:
     implies an adjacent sorted pair within the window.  Provocation
     analysis only *removes* matches, so no-repeat means no duplicates.
     """
-    np = numpy_module()
     idx = columns.indices("flow", fid)    # src/dst constant within a flow
     if len(idx) < 2:
         return False

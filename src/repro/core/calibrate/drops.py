@@ -27,17 +27,17 @@ inappropriate time or failing to send at an appropriate one:
 8.  ``retransmission_of_unseen`` — a retransmitted segment whose
     original transmission never appears in the trace.
 
-With the columnar backend each check first runs a vectorized *screen*
-over the arrays.  For checks whose per-record state is a plain running
-maximum (1, 2, 5, 6, 8) the screen is exact — it finds evidence iff
-the loop would — so the original loop (which builds the evidence
-objects) only runs when there is evidence to report, which calibrated
-traces almost never have.  Check 4's screen is a conservative superset
-(any retransmission at all).  Check 7 has no cheap vector bound, so it
-stays unscreened scalar code on both backends; its receiver-side
-contiguity merge is an O(n log n) heap frontier.  The frontier is an
-unwrapped integer, so like ``columns.rel`` it assumes every arrival and
-ack lies within 2**31 of it.
+Each check first runs a vectorized *screen* over the trace's columns.
+For checks whose per-record state is a plain running maximum (1, 2,
+5, 6, 8) the screen is exact — it finds evidence iff the loop would —
+so the original loop (which builds the evidence objects) only runs
+when there is evidence to report, which calibrated traces almost
+never have.  Check 4's screen is a conservative superset (any
+retransmission at all).  Check 7 has no cheap vector bound, so it
+stays unscreened scalar code; its receiver-side contiguity merge is an
+O(n log n) heap frontier.  The frontier is an unwrapped integer, so
+like ``columns.rel`` it assumes every arrival and ack lies within
+2**31 of it.
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.tcp.params import TCPBehavior
-from repro.trace.columns import numpy_module
 from repro.trace.record import Trace, TraceRecord
 from repro.units import seq_diff, seq_gt, seq_lt
 
@@ -110,8 +111,7 @@ def run_drop_checks(trace: Trace,
 
 def check_ack_for_unseen_data(trace: Trace, flow) -> list[DropEvidence]:
     """Check 1: acks acknowledging data the trace never recorded."""
-    columns = trace.columns()
-    if columns.is_vector and not _screen_ack_for_unseen(columns, flow):
+    if not _screen_ack_for_unseen(trace.columns(), flow):
         return []
     evidence = []
     highest_sent = None
@@ -133,8 +133,7 @@ def check_ack_for_unseen_data(trace: Trace, flow) -> list[DropEvidence]:
 
 def check_sequence_gap(trace: Trace, flow) -> list[DropEvidence]:
     """Check 2: the data stream skips never-before-sent sequence space."""
-    columns = trace.columns()
-    if columns.is_vector and not _screen_sequence_gap(columns, flow):
+    if not _screen_sequence_gap(trace.columns(), flow):
         return []
     evidence = []
     highest_sent = None
@@ -154,8 +153,7 @@ def check_sequence_gap(trace: Trace, flow) -> list[DropEvidence]:
 
 def check_ack_regression(trace: Trace, flow) -> list[DropEvidence]:
     """Check 5: cumulative acknowledgements are monotone."""
-    columns = trace.columns()
-    if columns.is_vector and not _screen_ack_regression(columns, flow):
+    if not _screen_ack_regression(trace.columns(), flow):
         return []
     evidence = []
     highest_ack = None
@@ -182,8 +180,7 @@ def check_dup_acks_without_cause(trace: Trace, flow) -> list[DropEvidence]:
     only meaningful for receiver-side traces; it keys on whether the
     trace shows any data *arriving* at the acking endpoint.
     """
-    columns = trace.columns()
-    if columns.is_vector and not _screen_dup_acks(columns, flow):
+    if not _screen_dup_acks(trace.columns(), flow):
         return []
     evidence = []
     reverse = flow.reversed()
@@ -257,9 +254,7 @@ def check_retransmission_of_unseen(trace: Trace, flow) -> list[DropEvidence]:
     A retransmission is identifiable as data below the highest sent
     sequence; its start must match some earlier record's start.
     """
-    columns = trace.columns()
-    if columns.is_vector and not _screen_retransmission_of_unseen(columns,
-                                                                  flow):
+    if not _screen_retransmission_of_unseen(trace.columns(), flow):
         return []
     evidence = []
     highest_sent = None
@@ -296,7 +291,6 @@ def _screen_ack_for_unseen(columns, flow) -> bool:
     state, and evidence exists iff some ack strictly exceeds the
     maximum of everything before it.
     """
-    np = numpy_module()
     fid = columns.flow_id(flow)
     rid = columns.reverse_id(fid)
     ids = columns.flow_ids
@@ -322,7 +316,6 @@ def _screen_ack_for_unseen(columns, flow) -> bool:
 
 def _screen_sequence_gap(columns, flow) -> bool:
     """Exact vector form of check 2: data start above the prior max end."""
-    np = numpy_module()
     idx = columns.indices("data", columns.flow_id(flow))
     if len(idx) < 2:
         return False
@@ -335,7 +328,6 @@ def _screen_sequence_gap(columns, flow) -> bool:
 
 def _screen_ack_regression(columns, flow) -> bool:
     """Exact vector form of check 5: an ack below the prior ack max."""
-    np = numpy_module()
     fid = columns.flow_id(flow)
     rid = columns.reverse_id(fid)
     if rid < 0:
@@ -357,7 +349,6 @@ def _screen_dup_acks(columns, flow) -> bool:
     ack event whose immediate predecessor event is an ack with the
     same value, after at least one arrival, zero-payload and not FIN.
     """
-    np = numpy_module()
     fid = columns.flow_id(flow)
     rid = columns.reverse_id(fid)
     if rid < 0:
@@ -383,7 +374,6 @@ def _screen_dup_acks(columns, flow) -> bool:
 def _screen_retransmission_of_unseen(columns, flow) -> bool:
     """Exact vector form of check 8: a first-occurrence start below the
     prior max end is a retransmission whose original is unrecorded."""
-    np = numpy_module()
     idx = columns.indices("data", columns.flow_id(flow))
     if len(idx) < 2:
         return False
@@ -400,7 +390,6 @@ def _screen_retransmission_of_unseen(columns, flow) -> bool:
 def _screen_fast_retransmit(columns, flow) -> bool:
     """Conservative screen for check 4: evidence needs at least one
     retransmitted data segment and some inbound acks."""
-    np = numpy_module()
     fid = columns.flow_id(flow)
     rid = columns.reverse_id(fid)
     if rid < 0:
@@ -453,8 +442,7 @@ def check_fast_retransmit_without_dups(trace: Trace, flow,
     """
     if not behavior.fast_retransmit:
         return []
-    columns = trace.columns()
-    if columns.is_vector and not _screen_fast_retransmit(columns, flow):
+    if not _screen_fast_retransmit(trace.columns(), flow):
         return []
     evidence = []
     reverse = flow.reversed()

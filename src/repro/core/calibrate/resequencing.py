@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.tcp.params import TCPBehavior
-from repro.trace.columns import numpy_module
 from repro.trace.record import Trace, TraceRecord
 from repro.units import seq_ge, seq_gt
 
@@ -112,22 +113,11 @@ def _lulled_data_indices(trace: Trace, flow) -> list[int]:
     Lulls are rare, so finding them vectorially skips the per-record
     walk for almost every trace."""
     columns = trace.columns()
-    if columns.is_vector:
-        np = numpy_module()
-        idx = columns.indices("data", columns.flow_id(flow))
-        if len(idx) < 2:
-            return []
-        ts = columns.timestamp[idx]
-        return [int(i) for i in idx[np.flatnonzero(np.diff(ts) > LULL) + 1]]
-    out = []
-    last_send: float | None = None
-    for i, record in enumerate(trace.records):
-        if record.flow != flow or record.payload == 0:
-            continue
-        if last_send is not None and record.timestamp - last_send > LULL:
-            out.append(i)
-        last_send = record.timestamp
-    return out
+    idx = columns.indices("data", columns.flow_id(flow))
+    if len(idx) < 2:
+        return []
+    ts = columns.timestamp[idx]
+    return [int(i) for i in idx[np.flatnonzero(np.diff(ts) > LULL) + 1]]
 
 
 def detect_ack_before_arrival(trace: Trace, flow) -> list[ResequencingEvent]:
@@ -137,8 +127,7 @@ def detect_ack_before_arrival(trace: Trace, flow) -> list[ResequencingEvent]:
     the acked data arriving; the outbound ack must never precede the
     arrival it acknowledges.
     """
-    columns = trace.columns()
-    if columns.is_vector and not _screen_ack_before_arrival(columns, flow):
+    if not _screen_ack_before_arrival(trace.columns(), flow):
         return []
     events = []
     records = trace.records
@@ -175,7 +164,6 @@ def _screen_ack_before_arrival(columns, flow) -> bool:
     the running max of arrival ends.  The loop's resync only *raises*
     ``rcv_high``, so the arrival-only running max is a lower bound and
     every real event is a candidate."""
-    np = numpy_module()
     fid = columns.flow_id(flow)
     rid = columns.reverse_id(fid)
     ids = columns.flow_ids

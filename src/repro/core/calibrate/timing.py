@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.trace.columns import numpy_module
+import numpy as np
+
 from repro.trace.record import Trace, TraceRecord
 
 
@@ -40,19 +41,9 @@ class TimeTravelEvent:
 def detect_time_travel(trace: Trace) -> list[TimeTravelEvent]:
     """Find every timestamp decrease in recording order."""
     records = trace.records
-    columns = trace.columns()
-    if columns.is_vector:
-        np = numpy_module()
-        ts = columns.timestamp
-        return [TimeTravelEvent(i, records[i - 1], records[i])
-                for i in (int(h) for h in
-                          np.flatnonzero(ts[1:] < ts[:-1]) + 1)]
-    events = []
-    for i in range(1, len(records)):
-        before, after = records[i - 1], records[i]
-        if after.timestamp < before.timestamp:
-            events.append(TimeTravelEvent(i, before, after))
-    return events
+    ts = trace.columns().timestamp
+    return [TimeTravelEvent(i, records[i - 1], records[i])
+            for i in (int(h) for h in np.flatnonzero(ts[1:] < ts[:-1]) + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.packets import FlowKey
 from repro.tcp.params import TCPBehavior
 from repro.trace.record import Trace, TraceRecord
@@ -122,53 +124,10 @@ class ReceiverPassOne:
 
 def extract_receiver_pass_one(trace: Trace,
                               headers_only: bool = False) -> ReceiverPassOne:
-    """Pass one of receiver analysis: facts and the event timeline.
-
-    With the numpy trace backend the discard/event scans run as
-    column kernels; the per-record path below is the pure-Python
-    fallback and the equivalence oracle.
-    """
+    """Pass one of receiver analysis: facts and the event timeline,
+    with the discard/event scans run as column kernels."""
     from repro.core.receiver import corruption
     columns = trace.columns()
-    if columns.is_vector:
-        return _extract_receiver_pass_one_vector(trace, columns,
-                                                 headers_only)
-    flow = trace.primary_flow()           # the data direction (inbound here)
-    reverse = flow.reversed()
-    syn = next((r for r in trace if r.flow == flow and r.is_syn
-                and not r.has_ack), None)
-    if syn is None:
-        raise ValueError("trace does not contain the connection SYN")
-    full_size = syn.mss_option if syn.mss_option is not None else 536
-    verified_corrupt: list[TraceRecord] = []
-    inferred_corrupt: list[TraceRecord] = []
-    if headers_only:
-        inferred_corrupt = corruption.inferred_discards(trace, flow)
-        discarded = frozenset(r.packet_id for r in inferred_corrupt)
-    else:
-        verified_corrupt = corruption.verified_discards(trace, flow)
-        discarded = frozenset(r.packet_id for r in verified_corrupt)
-    events: list[TraceRecord] = []
-    rows: list[tuple[float, bool, int, int, int, int, bool]] = []
-    for r in trace:
-        inbound = r.flow == flow
-        if ((inbound and (r.payload > 0 or r.is_fin))
-                or (r.flow == reverse and r.has_ack and not r.is_syn)):
-            events.append(r)
-            rows.append((r.timestamp, inbound, r.seq, r.ack, r.window,
-                         r.payload, r.is_fin))
-    return ReceiverPassOne(
-        flow=flow, full_size=full_size, syn_seq=syn.seq, events=events,
-        rows=rows, discarded=discarded, verified_corrupt=verified_corrupt,
-        inferred_corrupt=inferred_corrupt, headers_only=headers_only)
-
-
-def _extract_receiver_pass_one_vector(trace: Trace, columns,
-                                      headers_only: bool) -> ReceiverPassOne:
-    """Column-kernel twin of the :func:`extract_receiver_pass_one` scan."""
-    from repro.core.receiver import corruption
-    from repro.trace.columns import numpy_module
-    np = numpy_module()
     primary = columns.primary_flow_id()
     flow = columns.flows[primary]
     in_flow = columns.flow_ids == primary

@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.packets import FlowKey
 from repro.tcp.params import QuenchResponse, TCPBehavior
 from repro.trace.record import Trace, TraceRecord
@@ -208,93 +210,17 @@ def _handshake_mss(syn: TraceRecord, synack: TraceRecord
 
 
 def extract_pass_one(trace: Trace) -> SenderPassOne:
-    """Pass one: facts plus the data/ack timelines, in a single scan.
+    """Pass one: facts plus the data/ack timelines, as column kernels.
 
     Candidate-independent, so identification computes this once and
-    replays every catalog entry against the same result.  With the
-    numpy trace backend the scan runs as column kernels
-    (:func:`_extract_pass_one_vector`); the per-record loop below is
-    the pure-Python fallback and the equivalence oracle.
-    """
-    columns = trace.columns()
-    if columns.is_vector:
-        return _extract_pass_one_vector(trace, columns)
-    flow = trace.primary_flow()
-    reverse = flow.reversed()
-    syn = next((r for r in trace if r.flow == flow and r.is_syn
-                and not r.has_ack), None)
-    synack = next((r for r in trace if r.flow == reverse and r.is_syn
-                   and r.has_ack), None)
-    if syn is None or synack is None:
-        raise TraceUnusable("trace does not contain the SYN handshake")
-
-    offered_mss, peer_offered, negotiated = _handshake_mss(syn, synack)
-    synack_time = synack.timestamp
-
-    highest_sent = (syn.seq + 1) % 2**32
-    highest_ack = highest_sent
-    max_in_flight = 0
-    early_peak_flight = 0
-    total_data = 0
-    data_count = 0
-    syn_count = 0
-    fin_seen = False
-    data: list[TraceRecord] = []
-    acks: list[TraceRecord] = []
-    data_rows: list[tuple[float, int, int, int]] = []
-    ack_rows: list[tuple[float, int, int, int]] = []
-    for record in trace:
-        if record.flow == flow:
-            if record.payload > 0:
-                end = record.seq_end
-                data.append(record)
-                data_rows.append((record.timestamp, record.seq, end,
-                                  record.payload))
-                data_count += 1
-                if seq_gt(end, highest_sent):
-                    total_data += seq_diff(end, highest_sent)
-                    highest_sent = end
-                in_flight = seq_diff(highest_sent, highest_ack)
-                if in_flight > max_in_flight:
-                    max_in_flight = in_flight
-                if (data_count <= EARLY_RAMP_PACKETS
-                        and in_flight > early_peak_flight):
-                    early_peak_flight = in_flight
-            if record.is_syn and not record.has_ack:
-                syn_count += 1
-            if record.is_fin:
-                fin_seen = True
-        elif record.flow == reverse and record.has_ack:
-            if not record.is_syn and record.timestamp >= synack_time:
-                acks.append(record)
-                ack_rows.append((record.timestamp, record.ack,
-                                 record.window, record.payload))
-            if seq_gt(record.ack, highest_ack):
-                highest_ack = record.ack
-    facts = ConnectionFacts(
-        flow=flow, iss=syn.seq, irs=synack.seq, offered_mss=offered_mss,
-        negotiated_mss=negotiated, peer_offered_mss_option=peer_offered,
-        synack_time=synack_time,
-        initial_offered_window=synack.window,
-        max_in_flight=max_in_flight, total_data=total_data,
-        data_count=data_count, fin_seen=fin_seen,
-        offered_mss_option=syn.mss_option is not None,
-        syn_count=max(syn_count, 1),
-        early_peak_flight=early_peak_flight)
-    return SenderPassOne(facts=facts, data=data, acks=acks,
-                         data_rows=data_rows, ack_rows=ack_rows)
-
-
-def _extract_pass_one_vector(trace: Trace, columns) -> SenderPassOne:
-    """The column-kernel twin of the :func:`extract_pass_one` loop.
+    replays every catalog entry against the same result.
 
     Sequence arithmetic runs on int64 values unwrapped around the ISS
     (``columns.rel``), where running maxima reproduce the modular
     ``seq_gt`` chain exactly for any trace spanning < 2**31 bytes of
     sequence space — the same window the modular helpers assume.
     """
-    from repro.trace.columns import numpy_module
-    np = numpy_module()
+    columns = trace.columns()
     primary = columns.primary_flow_id()
     in_primary = columns.flow_ids == primary
     syn_i = columns.first_index(in_primary & columns.is_syn

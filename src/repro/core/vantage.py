@@ -12,6 +12,8 @@ response delay, while at the receiver's, acks chase arriving data.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.trace.record import Trace
 
 #: A response gap below this is "kernel-speed": the responder is local.
@@ -30,35 +32,15 @@ def infer_vantage(trace: Trace) -> str:
         flow = trace.primary_flow()
     except ValueError:
         return "sender"
-    reverse = flow.reversed()
-
     columns = trace.columns()
-    if columns.is_vector:
-        from repro.trace.columns import numpy_module
-        np = numpy_module()
-        ids = columns.flow_ids
-        fid = columns.flow_id(flow)
-        inbound_ack = (ids == columns.reverse_id(fid)) & columns.has_ack
-        outbound_data = (ids == fid) & columns.is_data
-        gap = np.diff(columns.timestamp)
-        local = (gap >= 0) & (gap <= LOCAL_RESPONSE)
-        ack_to_data = int(np.count_nonzero(
-            local & inbound_ack[:-1] & outbound_data[1:]))
-        data_to_ack = int(np.count_nonzero(
-            local & outbound_data[:-1] & inbound_ack[1:]))
-        return "sender" if ack_to_data >= data_to_ack else "receiver"
-
-    ack_to_data = 0
-    data_to_ack = 0
-    records = trace.records
-    for previous, current in zip(records, records[1:]):
-        gap = current.timestamp - previous.timestamp
-        if gap > LOCAL_RESPONSE or gap < 0:
-            continue
-        if (previous.flow == reverse and previous.has_ack
-                and current.flow == flow and current.payload > 0):
-            ack_to_data += 1
-        elif (previous.flow == flow and previous.payload > 0
-              and current.flow == reverse and current.has_ack):
-            data_to_ack += 1
+    ids = columns.flow_ids
+    fid = columns.flow_id(flow)
+    inbound_ack = (ids == columns.reverse_id(fid)) & columns.has_ack
+    outbound_data = (ids == fid) & columns.is_data
+    gap = np.diff(columns.timestamp)
+    local = (gap >= 0) & (gap <= LOCAL_RESPONSE)
+    ack_to_data = int(np.count_nonzero(
+        local & inbound_ack[:-1] & outbound_data[1:]))
+    data_to_ack = int(np.count_nonzero(
+        local & outbound_data[:-1] & inbound_ack[1:]))
     return "sender" if ack_to_data >= data_to_ack else "receiver"

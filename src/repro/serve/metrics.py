@@ -24,6 +24,9 @@ import time
 from collections import Counter, deque
 from typing import Callable
 
+from repro.analysis.connstats import connection_stats
+from repro.trace.record import Trace
+
 #: Default sliding-window span for rolling aggregates (seconds).
 DEFAULT_WINDOW = 300.0
 
@@ -276,27 +279,18 @@ def render_prometheus(snapshot: dict) -> str:
 
 
 def flow_retransmission_rate(records) -> float:
-    """Fraction of a flow's data packets that re-sent a seen sequence.
+    """Fraction of a flow's data packets that were retransmissions.
 
-    A cheap trace-level proxy for the retransmission-rate aggregate:
-    a data packet whose starting sequence number was already carried
-    by an earlier data packet of the same direction counts as a
-    retransmission.  Good enough for a rolling traffic aggregate; the
-    per-flow *analysis* does the real replay-based accounting.
+    The data direction's ``retransmitted_packets`` over its
+    ``total_data_packets``, both as ``connection_stats`` counts them:
+    a data packet re-sending a seen start, or starting below the
+    highest byte already sent, is a retransmission.  An empty flow, or
+    one without data, gives 0.0.
     """
-    seen: dict = {}
-    data_packets = 0
-    retransmissions = 0
-    for record in records:
-        if record.payload <= 0:
-            continue
-        data_packets += 1
-        key = (record.src, record.dst)
-        carried = seen.setdefault(key, set())
-        if record.seq in carried:
-            retransmissions += 1
-        else:
-            carried.add(record.seq)
-    if data_packets == 0:
+    records = list(records)
+    if not records:
         return 0.0
-    return retransmissions / data_packets
+    stats = connection_stats(Trace(records=records))
+    if stats.total_data_packets == 0:
+        return 0.0
+    return stats.retransmitted_packets / stats.total_data_packets

@@ -170,12 +170,13 @@ class IncrementalPcapReader:
     def poll(self) -> Iterator[TraceRecord]:
         """Yield every record now fully on disk; hold partials back.
 
-        Records are read and decoded a chunk at a time (so the numpy
-        backend can decode whole batches vectorially), but the resume
-        offset and stats commit per record, *before* that record's
-        yield — abandoning the generator mid-chunk leaves the reader
-        positioned exactly after the last record handed out, the same
-        contract the one-record-at-a-time loop provided.
+        Records are read and decoded a chunk at a time (so whole
+        batches decode vectorially; a record larger than a chunk
+        widens that read to cover it), but the resume offset and stats
+        commit per record, *before* that record's yield — abandoning
+        the generator mid-chunk leaves the reader positioned exactly
+        after the last record handed out, the same contract the
+        one-record-at-a-time loop provided.
         """
         if self._finalized:
             raise ValueError(f"{self.path}: reader already finalized")
@@ -184,13 +185,14 @@ class IncrementalPcapReader:
         stats = self.stats
         handle = self._handle
         endian = self.header.endian
+        size = CHUNK_BYTES
         while True:
             handle.seek(self._offset)
-            blob = handle.read(CHUNK_BYTES)
+            blob = handle.read(size)
             # Walk every complete record in the chunk without
             # committing anything yet.
             position = 0
-            metas: list[tuple[int, int, int]] = []
+            metas: list[int] = []
             packets: list[bytes] = []
             timestamps: list[float] = []
             verify: list[bool] = []
@@ -202,30 +204,26 @@ class IncrementalPcapReader:
                 data = blob[position + RECORD_HEADER_LEN:
                             position + RECORD_HEADER_LEN + incl_len]
                 position += RECORD_HEADER_LEN + incl_len
-                metas.append((incl_len, seconds, micros))
+                metas.append(incl_len)
                 packets.append(data[self._strip:])
                 timestamps.append(seconds + micros / 1e6)
                 verify.append(incl_len >= orig_len)
             if not metas:
-                if len(blob) >= CHUNK_BYTES:
-                    # One record larger than a whole chunk: take the
-                    # unbatched path for it, then resume chunking.
-                    if self._poll_one_oversized(handle, endian) is None:
-                        return
-                    record = self._pending_record
-                    self._pending_record = None
-                    if record is not None:
-                        yield record
-                    continue
-                return            # partial tail: retry next poll
+                if len(blob) < size:
+                    return        # partial tail: retry next poll
+                # A full read without one whole record: the record
+                # outgrows the read, so widen the read to cover it.
+                incl_len = (struct.unpack_from(endian + "I", blob, 8)[0]
+                            if len(blob) >= RECORD_HEADER_LEN else 0)
+                size = max(CHUNK_BYTES, RECORD_HEADER_LEN + incl_len)
+                continue
             decoded = decode_packet_batch(packets, timestamps,
                                           self.addresses, verify)
-            for k, (incl_len, _seconds, _micros) in enumerate(metas):
+            for incl_len, outcome in zip(metas, decoded):
                 self._offset += RECORD_HEADER_LEN + incl_len
                 self._index += 1
                 stats.packets_seen += 1
                 stats.bytes_seen += incl_len
-                outcome = decoded[k]
                 if isinstance(outcome, PacketDecodeError):
                     if outcome.kind == "non-tcp":
                         stats.non_tcp_packets += 1
@@ -236,39 +234,9 @@ class IncrementalPcapReader:
                     continue
                 stats.records_decoded += 1
                 yield outcome
-            if len(blob) < CHUNK_BYTES:
+            if len(blob) < size:
                 return            # consumed all bytes on disk at read time
-
-    #: Scratch slot for the oversized-record path (set by
-    #: :meth:`_poll_one_oversized`, consumed by :meth:`poll`).
-    _pending_record: TraceRecord | None = None
-
-    def _poll_one_oversized(self, handle, endian) -> bool | None:
-        """Read and commit a single record the pre-chunking way.
-
-        Returns None when the record is still incomplete on disk (the
-        poll should stop and retry later); otherwise commits offset
-        and stats, leaves any decoded record in ``_pending_record``,
-        and returns True.
-        """
-        stats = self.stats
-        handle.seek(self._offset)
-        record_header = handle.read(RECORD_HEADER_LEN)
-        if len(record_header) < RECORD_HEADER_LEN:
-            return None
-        seconds, micros, incl_len, orig_len = struct.unpack(
-            endian + "IIII", record_header)
-        data = handle.read(incl_len)
-        if len(data) < incl_len:
-            return None
-        self._offset += RECORD_HEADER_LEN + incl_len
-        self._index += 1
-        stats.packets_seen += 1
-        stats.bytes_seen += len(data)
-        self._pending_record = self._decode(data, seconds, micros,
-                                            truncated=incl_len < orig_len,
-                                            short=False)
-        return True
+            size = CHUNK_BYTES
 
     def finalize(self) -> Iterator[TraceRecord]:
         """Declare end-of-capture; apply truncated-trailer semantics.
@@ -316,51 +284,38 @@ class IncrementalPcapReader:
         self._offset += RECORD_HEADER_LEN + incomplete
         stats.packets_seen += 1
         stats.bytes_seen += len(data)
-        record = self._decode(data, seconds, micros, truncated=True,
-                              short=True, expected=incl_len)
+        record = self._decode(data, seconds, micros, expected=incl_len)
         self.close()
         if record is not None:
             yield record
 
     def _decode(self, data: bytes, seconds: int, micros: int,
-                truncated: bool, short: bool,
-                expected: int = 0) -> TraceRecord | None:
-        """Decode one captured packet, doing all the stats accounting.
+                expected: int) -> TraceRecord | None:
+        """Decode a cut-short final record, doing the stats accounting.
 
-        *short* marks a cut-short final record (finalize path): decode
-        failures there are truncation warnings, not decode errors.
+        The payload is unverifiable, so the checksum is not checked; a
+        failure to decode is a truncation warning, not a decode error.
         """
         stats = self.stats
         data = data[self._strip:]
         timestamp = seconds + micros / 1e6
-        # Snaplen truncation (incl < orig) and a cut-short final
-        # record both leave the payload unverifiable.
         try:
             record = decode_packet(data, timestamp, self.addresses,
-                                   verify_checksum=not truncated)
+                                   verify_checksum=False)
         except PacketDecodeError as error:
-            if short:
-                stats.truncated_records += 1
-                stats.warn("truncated-record",
-                           f"final record cut short ({len(data)} of "
-                           f"{expected} captured bytes): {error}",
-                           self._index)
-                return None
-            if error.kind == "non-tcp":
-                stats.non_tcp_packets += 1
-                stats.warn("non-tcp", str(error), self._index)
-            else:
-                stats.decode_errors += 1
-                stats.warn("decode-error", str(error), self._index)
-            return None
-        stats.records_decoded += 1
-        if short:
             stats.truncated_records += 1
             stats.warn("truncated-record",
                        f"final record cut short ({len(data)} of "
-                       f"{expected} captured bytes); partial record "
-                       f"decoded without checksum verification",
+                       f"{expected} captured bytes): {error}",
                        self._index)
+            return None
+        stats.records_decoded += 1
+        stats.truncated_records += 1
+        stats.warn("truncated-record",
+                   f"final record cut short ({len(data)} of "
+                   f"{expected} captured bytes); partial record "
+                   f"decoded without checksum verification",
+                   self._index)
         return record
 
     def close(self) -> None:

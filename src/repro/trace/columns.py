@@ -12,19 +12,9 @@ calibration screening, bulk ingest decode) run against the arrays;
 untouched, because the view indexes back into the original record
 list.
 
-Two backends implement the same interface:
-
-* :class:`NumpyTraceColumns` — numpy arrays, enabling the vectorized
-  kernels (``is_vector`` is True).  Requires numpy, which ships as the
-  optional ``repro[perf]`` extra.
-* :class:`PythonTraceColumns` — plain lists and dicts, keeping the
-  zero-dependency install working.  The analyzers fall back to their
-  original per-record loops against it, so the pure-Python path is
-  exactly the pre-columnar code — which is what the equivalence suite
-  compares the vector kernels against.
-
-Backend selection is automatic (numpy if importable); tests and
-benchmarks pin one with :func:`set_backend`.
+The kernels it serves keep their original per-record loops only as
+test oracles (``tests/core/kernel_oracles.py``), against which the
+equivalence suite compares them.
 
 Sequence numbers live in a 32-bit modular space; arrays hold them
 *unwrapped* relative to a per-trace base (the first record's seq) as
@@ -37,80 +27,29 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 if TYPE_CHECKING:                      # pragma: no cover
     from repro.packets import FlowKey
     from repro.trace.record import Trace
-
-try:                                   # the [perf] extra; optional
-    import numpy as _np
-except ImportError:                    # pragma: no cover
-    _np = None
 
 #: Half the sequence space: the unwrap window of ``seq_diff``.
 _SEQ_HALF = 2**31
 _SEQ_SPACE = 2**32
 
-#: Explicit override set by :func:`set_backend`; None defers to
-#: autodetection.
-_forced_backend: str | None = None
 
-
-def numpy_available() -> bool:
-    """True when numpy imported successfully."""
-    return _np is not None
-
-
-def numpy_module():
-    """The numpy module (only call when :func:`numpy_available`)."""
-    return _np
-
-
-def active_backend() -> str:
-    """The backend new column views will use: ``"numpy"`` or ``"python"``.
-
-    Resolution order: :func:`set_backend` override, then numpy if it
-    imported, else python.
-    """
-    if _forced_backend == "python":
-        return "python"
-    if _np is None:
-        if _forced_backend == "numpy":
-            raise RuntimeError("numpy backend forced but numpy is not "
-                               "installed (pip install repro[perf])")
-        return "python"
-    return "numpy"
-
-
-def set_backend(name: str | None) -> None:
-    """Force the backend (``"numpy"``/``"python"``), or None for auto.
-
-    For tests and benchmarks; production selection is autodetection.
-    """
-    global _forced_backend
-    if name is not None and name not in ("numpy", "python", "auto"):
-        raise ValueError(f"unknown trace backend {name!r}")
-    _forced_backend = None if name in (None, "auto") else name
-
-
-def columns_of(trace: "Trace"):
+def columns_of(trace: "Trace") -> "TraceColumns":
     """The columnar view of *trace*, built lazily and cached.
 
-    The cache is invalidated when the record list's length changes or
-    the active backend differs from the cached view's (tests flip
-    backends on the same trace objects).  Records themselves are
-    frozen, and every ``Trace`` in the library is built with its full
-    record list before analysis starts, so length is a sufficient
-    staleness guard.
+    The cache is invalidated when the record list's length changes.
+    Records themselves are frozen, and every ``Trace`` in the library
+    is built with its full record list before analysis starts, so
+    length is a sufficient staleness guard.
     """
     cached = getattr(trace, "_columns", None)
-    backend = active_backend()
-    if cached is not None and cached.n == len(trace.records) \
-            and cached.backend == backend:
+    if cached is not None and cached.n == len(trace.records):
         return cached
-    if backend == "numpy":
-        view = NumpyTraceColumns(trace)
-    else:
-        view = PythonTraceColumns(trace)
+    view = TraceColumns(trace)
     trace._columns = view
     return view
 
@@ -136,11 +75,8 @@ def _assign_flow_ids(records):
     return ids, flows
 
 
-class _ColumnsBase:
-    """Interface shared by both backends (flow partition + accessors)."""
-
-    backend = ""
-    is_vector = False
+class TraceColumns:
+    """One int64/float64/bool array per column, plus the flow partition."""
 
     def __init__(self, trace: "Trace"):
         records = trace.records
@@ -149,111 +85,10 @@ class _ColumnsBase:
         ids, flows = _assign_flow_ids(records)
         self.flows: list[FlowKey] = flows
         self._flow_index = {(f.src, f.dst): i for i, f in enumerate(flows)}
-        self._ids_list = ids
+        self.flow_ids = np.array(ids, dtype=np.int32)
         self._primary_id: int | None = None
         self._indices_cache: dict = {}
-
-    # -- flow partition ----------------------------------------------------
-
-    def flow_id(self, flow) -> int:
-        """The id of *flow*, or -1 when the trace never carried it."""
-        return self._flow_index.get((flow.src, flow.dst), -1)
-
-    def reverse_id(self, fid: int) -> int:
-        """The id of the opposite direction, or -1 if never recorded."""
-        flow = self.flows[fid]
-        return self._flow_index.get((flow.dst, flow.src), -1)
-
-    def primary_flow(self):
-        """The data-carrying direction (see ``Trace.primary_flow``)."""
-        return self.flows[self.primary_flow_id()]
-
-    def primary_flow_id(self) -> int:
-        if self.n == 0:
-            raise ValueError("empty trace has no flows")
-        if self._primary_id is None:
-            self._primary_id = self._compute_primary_id()
-        return self._primary_id
-
-    # -- memoized per-flow index slices (satellite: Trace accessors) -------
-
-    def indices(self, kind: str, fid: int) -> list[int]:
-        """Cached record indices for (*kind*, flow id).
-
-        Kinds: ``"flow"`` (all records of the flow), ``"data"``
-        (payload-carrying records of the flow), ``"acks"`` (pure acks
-        of the flow's *reverse* direction, SYN/RST excluded — the
-        ``Trace.acks`` contract).
-        """
-        key = (kind, fid)
-        got = self._indices_cache.get(key)
-        if got is None:
-            got = self._compute_indices(kind, fid)
-            self._indices_cache[key] = got
-        return got
-
-    def records_at(self, indexes) -> list:
-        records = self.records
-        return [records[i] for i in indexes]
-
-
-class PythonTraceColumns(_ColumnsBase):
-    """The zero-dependency backend: index lists, no arrays.
-
-    Kernels that need real vectorization check ``is_vector`` and take
-    their original per-record loops against this backend; only the
-    flow partition and the memoized accessor slices live here.
-    """
-
-    backend = "python"
-    is_vector = False
-
-    def _compute_primary_id(self) -> int:
-        volumes = [0] * len(self.flows)
-        ids = self._ids_list
-        records = self.records
-        for i in range(self.n):
-            volumes[ids[i]] += records[i].payload
-        best = max(range(len(volumes)), key=lambda fid: (volumes[fid], -fid))
-        if volumes[best] > 0:
-            return best
-        for record in records:
-            if record.is_syn and not record.has_ack:
-                return self.flow_id(record.flow)
-        return ids[0]
-
-    def _compute_indices(self, kind: str, fid: int) -> list[int]:
-        ids = self._ids_list
-        records = self.records
-        if kind == "flow":
-            return [i for i in range(self.n) if ids[i] == fid]
-        if kind == "data":
-            return [i for i in range(self.n)
-                    if ids[i] == fid and records[i].payload > 0]
-        if kind == "acks":
-            rid = self.reverse_id(fid)
-            if rid < 0:
-                return []
-            return [i for i in range(self.n)
-                    if ids[i] == rid and records[i].has_ack
-                    and records[i].payload == 0
-                    and not records[i].is_syn and not records[i].is_rst]
-        raise ValueError(f"unknown index kind {kind!r}")
-
-
-class NumpyTraceColumns(_ColumnsBase):
-    """The vector backend: one int64/float64/bool array per column."""
-
-    backend = "numpy"
-    is_vector = True
-
-    def __init__(self, trace: "Trace"):
-        super().__init__(trace)
-        np = _np
-        records = self.records
         n = self.n
-        self.flow_ids = np.array(self._ids_list, dtype=np.int32) \
-            if n else np.empty(0, dtype=np.int32)
         # One pass over the records builds every raw column; frozen
         # dataclass attribute access is the cost being amortized, so
         # touch each record exactly once.
@@ -292,20 +127,29 @@ class NumpyTraceColumns(_ColumnsBase):
         seq_end += self.is_fin
         self.seq_end = seq_end % _SEQ_SPACE
 
-    # -- sequence-space unwrapping ----------------------------------------
-
-    def rel(self, values, base: int):
-        """Unwrap modular sequence *values* around *base* (int64).
-
-        Matches ``seq_diff(value, base)`` elementwise: the result is
-        in [-2**31, 2**31), positive meaning "after base".
-        """
-        return ((values - base + _SEQ_HALF) % _SEQ_SPACE) - _SEQ_HALF
-
     # -- flow partition ----------------------------------------------------
 
+    def flow_id(self, flow) -> int:
+        """The id of *flow*, or -1 when the trace never carried it."""
+        return self._flow_index.get((flow.src, flow.dst), -1)
+
+    def reverse_id(self, fid: int) -> int:
+        """The id of the opposite direction, or -1 if never recorded."""
+        flow = self.flows[fid]
+        return self._flow_index.get((flow.dst, flow.src), -1)
+
+    def primary_flow(self):
+        """The data-carrying direction (see ``Trace.primary_flow``)."""
+        return self.flows[self.primary_flow_id()]
+
+    def primary_flow_id(self) -> int:
+        if self.n == 0:
+            raise ValueError("empty trace has no flows")
+        if self._primary_id is None:
+            self._primary_id = self._compute_primary_id()
+        return self._primary_id
+
     def _compute_primary_id(self) -> int:
-        np = _np
         volumes = np.bincount(self.flow_ids, weights=self.payload,
                               minlength=len(self.flows))
         best = int(np.argmax(volumes))   # first max = first-seen flow
@@ -317,8 +161,24 @@ class NumpyTraceColumns(_ColumnsBase):
             return int(self.flow_ids[hits[0]])
         return int(self.flow_ids[0])
 
+    # -- memoized per-flow index slices (satellite: Trace accessors) -------
+
+    def indices(self, kind: str, fid: int) -> list[int]:
+        """Cached record indices for (*kind*, flow id).
+
+        Kinds: ``"flow"`` (all records of the flow), ``"data"``
+        (payload-carrying records of the flow), ``"acks"`` (pure acks
+        of the flow's *reverse* direction, SYN/RST excluded — the
+        ``Trace.acks`` contract).
+        """
+        key = (kind, fid)
+        got = self._indices_cache.get(key)
+        if got is None:
+            got = self._compute_indices(kind, fid)
+            self._indices_cache[key] = got
+        return got
+
     def _compute_indices(self, kind: str, fid: int):
-        np = _np
         if kind == "flow":
             mask = self.flow_ids == fid
         elif kind == "data":
@@ -333,7 +193,21 @@ class NumpyTraceColumns(_ColumnsBase):
             raise ValueError(f"unknown index kind {kind!r}")
         return np.flatnonzero(mask)
 
+    def records_at(self, indexes) -> list:
+        records = self.records
+        return [records[i] for i in indexes]
+
+    # -- sequence-space unwrapping ----------------------------------------
+
+    def rel(self, values, base: int):
+        """Unwrap modular sequence *values* around *base* (int64).
+
+        Matches ``seq_diff(value, base)`` elementwise: the result is
+        in [-2**31, 2**31), positive meaning "after base".
+        """
+        return ((values - base + _SEQ_HALF) % _SEQ_SPACE) - _SEQ_HALF
+
     def first_index(self, mask) -> int:
         """Index of the first True in *mask*, or -1."""
-        hits = _np.flatnonzero(mask)
+        hits = np.flatnonzero(mask)
         return int(hits[0]) if hits.size else -1

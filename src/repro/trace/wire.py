@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
+
 from repro.packets import Endpoint
 from repro.trace.record import TraceRecord
 
@@ -237,7 +239,7 @@ def decode_packet_batch(packets: list[bytes], timestamps: list[float],
 
     Returns one entry per input packet: a :class:`TraceRecord`, or the
     :class:`PacketDecodeError` :func:`decode_packet` would have raised.
-    With the numpy backend active, "simple" packets — IPv4 without IP
+    In batches of 16 or more, "simple" packets — IPv4 without IP
     options, TCP, header fully captured, option area empty or exactly
     one MSS option — have their header fields gathered and checksums
     summed across the whole batch in array operations; every other
@@ -250,12 +252,10 @@ def decode_packet_batch(packets: list[bytes], timestamps: list[float],
     if verify_checksums is None:
         verify_checksums = [True] * n
     results: list = [None] * n
-    from repro.trace.columns import active_backend, numpy_module
     simple_rows: "list[int]" = []
-    if n >= 16 and active_backend() == "numpy":
+    if n >= 16:
         simple_rows = _decode_simple_rows(packets, timestamps, addresses,
-                                          verify_checksums, results,
-                                          numpy_module())
+                                          verify_checksums, results)
     remaining = (range(n) if not simple_rows
                  else sorted(set(range(n)) - set(simple_rows)))
     for i in remaining:
@@ -268,7 +268,7 @@ def decode_packet_batch(packets: list[bytes], timestamps: list[float],
 
 
 def _decode_simple_rows(packets, timestamps, addresses, verify_checksums,
-                        results, np) -> list:
+                        results) -> list:
     """Vectorized decode of the simple packets; fills *results* in
     place and returns the row indexes it handled."""
     n = len(packets)

@@ -17,6 +17,7 @@ from repro.core.calibrate.drops import (
     check_ack_for_unseen_data,
     check_ack_regression,
     check_dup_acks_without_cause,
+    check_fast_retransmit_without_dups,
     check_retransmission_of_unseen,
     check_sequence_gap,
     check_stretch_ack_gap,
@@ -317,6 +318,32 @@ class TestRetransmissionOfUnseen:
             "0.072000 sender.1024 > receiver.9000: . 513:1025(512) ack 1 win 65535\n"
             "1.000000 sender.1024 > receiver.9000: . 1:513(512) ack 1 win 65535\n")
         assert check_retransmission_of_unseen(trace, flow) == []
+
+
+class TestFastRetransmitWithoutDups:
+    FLIGHT = (
+        "0.071000 sender.1024 > receiver.9000: . 1:513(512) ack 1 win 65535\n"
+        "0.071100 sender.1024 > receiver.9000: . 513:1025(512) ack 1 win 65535\n"
+        "0.071200 sender.1024 > receiver.9000: . 1025:1537(512) ack 1 win 65535\n"
+        "0.150000 receiver.9000 > sender.1024: . 1:1(0) ack 513 win 65535\n"
+        "0.151000 receiver.9000 > sender.1024: . 1:1(0) ack 513 win 65535\n"
+        "0.152000 receiver.9000 > sender.1024: . 1:1(0) ack 513 win 65535\n")
+    THIRD_DUP = \
+        "0.152100 receiver.9000 > sender.1024: . 1:1(0) ack 513 win 65535\n"
+    RESEND = \
+        "0.152500 sender.1024 > receiver.9000: . 513:1025(512) ack 1 win 65535\n"
+
+    def test_fires_when_dup_acks_fall_short(self):
+        trace, flow = sender_trace(self.FLIGHT + self.RESEND)
+        evidence = check_fast_retransmit_without_dups(trace, flow,
+                                                      get_behavior("reno"))
+        assert len(evidence) == 1
+        assert "after only 2 recorded dup acks" in evidence[0].detail
+
+    def test_quiet_after_a_full_dup_ack_train(self):
+        trace, flow = sender_trace(self.FLIGHT + self.THIRD_DUP + self.RESEND)
+        assert check_fast_retransmit_without_dups(
+            trace, flow, get_behavior("reno")) == []
 
 
 class TestVantageGating:

@@ -1,13 +1,14 @@
-"""Pass one's replay rows mirror its records, on both trace backends.
+"""Pass one's replay rows mirror its records, kernel and oracle alike.
 
 Every candidate replay reads plain rows instead of records: sender data
 rows ``(timestamp, seq, seq_end, payload)``, sender ack rows
 ``(timestamp, ack, window, payload)``, and receiver event rows
-``(timestamp, inbound, seq, ack, window, payload, fin)``.  The numpy
-backend builds them from column slices, the pure-Python backend in its
-record scan; both must give exactly what the records say — same
-values, same Python types — including SYN/FIN sequence accounting and
-sequence numbers that wrap past 2**32.
+``(timestamp, inbound, seq, ack, window, payload, fin)``.  The pass-one
+kernels build them from column slices, their oracles
+(``tests/core/kernel_oracles.py``) in a record scan; both must give
+exactly what the records say — same values, same Python types —
+including SYN/FIN sequence accounting and sequence numbers that wrap
+past 2**32.
 """
 
 import pytest
@@ -17,11 +18,11 @@ from hypothesis import strategies as st
 from repro.core.receiver.analyzer import extract_receiver_pass_one
 from repro.core.sender.analyzer import extract_pass_one
 from repro.packets import ACK, FIN, SYN, Endpoint
-from repro.trace import columns as trace_columns
 from repro.trace.record import Trace, TraceRecord
 
-BACKENDS = ["python"] + (["numpy"] if trace_columns.numpy_available()
-                         else [])
+from tests.conftest import cached_transfer
+from tests.core.kernel_oracles import receiver_pass_one, sender_pass_one
+
 SENDER = Endpoint("sender", 1024)
 RECEIVER = Endpoint("receiver", 9000)
 
@@ -73,26 +74,12 @@ def typed(rows):
     return [[(type(value), value) for value in row] for row in rows]
 
 
-def on_backend(backend, function):
-    trace_columns.set_backend(backend)
-    try:
-        return function()
-    finally:
-        trace_columns.set_backend(None)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=60, deadline=None)
 @given(iss=isns, irs=isns, body=packets)
-def test_rows_mirror_records(backend, iss, irs, body):
+def test_rows_mirror_records(iss, irs, body):
     trace = build_trace(iss, irs, body)
-
-    def rows():
-        sender = extract_pass_one(trace)
-        receiver = extract_receiver_pass_one(trace)
-        return sender, receiver
-
-    sender, receiver = on_backend(backend, rows)
+    sender = extract_pass_one(trace)
+    receiver = extract_receiver_pass_one(trace)
     assert typed(sender.data_rows) == typed(
         [(r.timestamp, r.seq, r.seq_end, r.payload) for r in sender.data])
     assert typed(sender.ack_rows) == typed(
@@ -102,15 +89,27 @@ def test_rows_mirror_records(backend, iss, irs, body):
           r.payload, r.is_fin) for r in receiver.events])
 
 
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="numpy not installed")
 @settings(max_examples=30, deadline=None)
 @given(iss=isns, irs=isns, body=packets)
 def test_backends_build_the_same_rows(iss, irs, body):
-    def rows():
+    def rows(sender_pass, receiver_pass):
         trace = build_trace(iss, irs, body)
-        sender = extract_pass_one(trace)
-        receiver = extract_receiver_pass_one(trace)
-        return (typed(sender.data_rows), typed(sender.ack_rows),
-                typed(receiver.rows))
+        sender = sender_pass(trace)
+        receiver = receiver_pass(trace)
+        return (sender.facts, typed(sender.data_rows),
+                typed(sender.ack_rows), typed(receiver.rows))
 
-    assert on_backend("python", rows) == on_backend("numpy", rows)
+    assert rows(extract_pass_one, extract_receiver_pass_one) \
+        == rows(sender_pass_one, receiver_pass_one)
+
+
+@pytest.mark.parametrize("implementation,scenario", [
+    ("reno", "wan-lossy"), ("linux-1.0", "wan-lossy"), ("tahoe", "wan"),
+])
+def test_kernels_match_oracles_on_transfers(implementation, scenario):
+    """Whole pass-one results, facts included, on simulated transfers
+    long enough to ramp past the early-flight window."""
+    transfer = cached_transfer(implementation, scenario, seed=1)
+    for trace in (transfer.sender_trace, transfer.receiver_trace):
+        assert extract_pass_one(trace) == sender_pass_one(trace)
+        assert extract_receiver_pass_one(trace) == receiver_pass_one(trace)

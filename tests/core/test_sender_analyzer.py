@@ -12,15 +12,16 @@ from repro.core.sender.analyzer import (
     TraceUnusable,
     analyze_sender,
     extract_facts,
+    extract_pass_one,
 )
 from repro.harness.scenarios import traced_transfer
 from repro.tcp.catalog import CATALOG, get_behavior
-from repro.trace import columns as trace_columns
 from repro.trace.record import Trace
 from repro.trace.text import parse_trace
 from repro.units import kbyte
 
 from tests.conftest import cached_transfer
+from tests.core.kernel_oracles import oracle_mode, sender_pass_one
 
 
 class TestFacts:
@@ -49,17 +50,18 @@ class TestFacts:
             extract_facts(headless)
 
 
-BACKENDS = ["python"] + (["numpy"] if trace_columns.numpy_available()
-                         else [])
 RENO_FIXTURE = (pathlib.Path(__file__).parent.parent / "fixtures"
                 / "reno_wan_20480_0.txt")
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    trace_columns.set_backend(request.param)
-    yield request.param
-    trace_columns.set_backend(None)
+@pytest.fixture(params=["numpy", "python"])
+def pass_one(request, monkeypatch):
+    """Sender pass one: the numpy column kernel, or its pure-Python
+    per-record oracle with the whole pipeline in oracle mode."""
+    if request.param == "numpy":
+        return extract_pass_one
+    oracle_mode(monkeypatch)
+    return sender_pass_one
 
 
 class TestZeroMss:
@@ -72,11 +74,11 @@ class TestZeroMss:
 
     @pytest.mark.parametrize("pattern", [r"<mss \d+>", r"<mss 1460>"],
                              ids=["both", "peer"])
-    def test_pass_one_refuses(self, backend, pattern):
+    def test_pass_one_refuses(self, pass_one, pattern):
         with pytest.raises(TraceUnusable, match="MSS of 0"):
-            extract_facts(self.trace(pattern))
+            pass_one(self.trace(pattern))
 
-    def test_every_candidate_ranks_unusable(self, backend):
+    def test_every_candidate_ranks_unusable(self, pass_one):
         trace = self.trace(r"<mss \d+>")
         fits = IdentificationEngine().identify_sender(trace).fits
         assert {fit.category for fit in fits} == {"unusable"}

@@ -5,6 +5,7 @@ import struct
 import pytest
 
 from repro.stream import IncrementalPcapReader, IngestStats, iter_pcap
+from repro.stream import reader as reader_module
 from repro.trace.pcap import read_pcap, write_pcap
 from repro.trace.record import Trace, TraceRecord
 from repro.trace.wire import AddressMap
@@ -181,6 +182,40 @@ class TestIncrementalReader:
         records.extend(reader.finalize())
         reader.close()
         assert records == list(iter_pcap(whole, addresses=addresses))
+
+    @pytest.mark.parametrize("chunk", [8, 40])
+    def test_records_larger_than_a_chunk(self, wan_trace, tmp_path,
+                                         monkeypatch, chunk):
+        """A chunk smaller than one record widens the read to that
+        record; what a poll yields and commits does not change."""
+        whole = tmp_path / "whole.pcap"
+        addresses = AddressMap()
+        write_pcap(wan_trace, whole, addresses=addresses)
+        _append_packet(whole, _udp_packet(), 99.0)
+        data = whole.read_bytes()
+
+        def ingest(step):
+            path = tmp_path / "grow.pcap"
+            path.write_bytes(b"")
+            stats = IngestStats()
+            reader = IncrementalPcapReader(path, addresses=addresses,
+                                           stats=stats)
+            records, offsets = [], []
+            for start in range(0, len(data), step):
+                with open(path, "ab") as handle:
+                    handle.write(data[start:start + step])
+                records.extend(reader.poll())
+                offsets.append(reader.resume_offset)
+            records.extend(reader.finalize())
+            reader.close()
+            return records, stats.to_dict(), offsets
+
+        for step in (len(data), 700):     # complete file, growing file
+            default = ingest(step)
+            with monkeypatch.context() as patch:
+                patch.setattr(reader_module, "CHUNK_BYTES", chunk)
+                assert ingest(step) == default
+        assert default[1]["non_tcp_packets"] == 1
 
     def test_finalize_applies_end_of_capture_semantics(self, wan_trace,
                                                        tmp_path):
