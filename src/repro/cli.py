@@ -90,15 +90,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.seqplot import render_ascii_plot, sequence_plot
 from repro.core.fit import identify_implementation
 from repro.core.report import analyze_trace
 from repro.harness.scenarios import SCENARIOS, traced_transfer
-from repro.serve.governor import (
-    DEFAULT_BREAKER_BACKOFF,
-    DEFAULT_BREAKER_FAILURES,
-    DEFAULT_BREAKER_TRIPS,
-)
 from repro.tcp.catalog import CATALOG, get_behavior
 from repro.trace.pcap import read_pcap, write_pcap
 from repro.units import kbyte
@@ -244,6 +238,12 @@ def _command_serve(args: argparse.Namespace) -> int:
     timeout = args.timeout
     if timeout is not None and timeout <= 0:
         timeout = None
+    # Breaker flags left unset keep ServeConfig's defaults, so the
+    # parser need not import the serve stack to know them.
+    breakers = {name: getattr(args, name)
+                for name in ("breaker_failures", "breaker_backoff",
+                             "breaker_trips")
+                if getattr(args, name) is not None}
     config = ServeConfig(
         out_dir=Path(args.out),
         captures=captures,
@@ -260,11 +260,9 @@ def _command_serve(args: argparse.Namespace) -> int:
         min_free_bytes=args.min_free_bytes,
         max_rss_bytes=args.max_rss,
         max_live_flows=args.max_live_flows,
-        breaker_failures=args.breaker_failures,
-        breaker_backoff=args.breaker_backoff,
-        breaker_trips=args.breaker_trips,
         on_rotate=args.on_rotate,
-        fsync=args.fsync)
+        fsync=args.fsync,
+        **breakers)
     daemon = ServeDaemon(config)
 
     def drain(signum, frame) -> None:
@@ -407,6 +405,8 @@ def _command_list(args: argparse.Namespace) -> int:
 
 
 def _command_plot(args: argparse.Namespace) -> int:
+    from repro.analysis.seqplot import render_ascii_plot, sequence_plot
+
     trace = read_pcap(args.trace)
     print(render_ascii_plot(sequence_plot(trace, title=args.trace)))
     return 0
@@ -579,15 +579,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="live-flow budget across all sources; "
                        "oldest flows early-retire beyond it (0 = off)")
     serve.add_argument("--breaker-failures", type=int,
-                       default=DEFAULT_BREAKER_FAILURES,
                        help="consecutive worker-fatal results that "
                        "trip a source's circuit breaker")
     serve.add_argument("--breaker-backoff", type=float,
-                       default=DEFAULT_BREAKER_BACKOFF,
                        help="first-trip breaker backoff in seconds "
                        "(doubles per trip)")
     serve.add_argument("--breaker-trips", type=int,
-                       default=DEFAULT_BREAKER_TRIPS,
                        help="breaker trips before a source is "
                        "quarantined permanently")
     serve.add_argument("--on-rotate", choices=("quarantine", "restart"),

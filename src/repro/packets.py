@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from repro.units import seq_add
 
@@ -34,9 +35,12 @@ def flags_to_string(flags: int) -> str:
     return out or "-"
 
 
-@dataclass(frozen=True)
-class Endpoint:
-    """One side of a TCP connection: an (address, port) pair."""
+class Endpoint(NamedTuple):
+    """One side of a TCP connection: an (address, port) pair.
+
+    A named tuple, so hashing, equality and ordering (address, then
+    port) run in C on the demux hot path.
+    """
 
     addr: str
     port: int
@@ -45,8 +49,7 @@ class Endpoint:
         return f"{self.addr}.{self.port}"
 
 
-@dataclass(frozen=True)
-class FlowKey:
+class FlowKey(NamedTuple):
     """A directed connection identifier (source endpoint -> destination)."""
 
     src: Endpoint

@@ -25,9 +25,9 @@ capture is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from repro.packets import Endpoint, FlowKey
+from repro.packets import ACK, FIN, RST, SYN, Endpoint, FlowKey
 from repro.stream.stats import IngestStats
 from repro.trace.record import Trace, TraceRecord
 
@@ -41,17 +41,12 @@ DEFAULT_MAX_FLOWS = 4096
 EXPIRY_GRANULARITY = 0.5
 
 
-def _endpoint_order(endpoint: Endpoint) -> tuple[str, int]:
-    return (endpoint.addr, endpoint.port)
-
-
-@dataclass(frozen=True, slots=True)
-class ConnectionKey:
+class ConnectionKey(NamedTuple):
     """A connection identifier: the unordered endpoint pair.
 
     Both directions of one connection map to the same key; ``a`` and
-    ``b`` are stored in a canonical order so keys print and sort
-    deterministically.
+    ``b`` are stored in a canonical order (the smaller endpoint first)
+    so keys print and sort deterministically.
     """
 
     a: Endpoint
@@ -59,8 +54,8 @@ class ConnectionKey:
 
     @classmethod
     def of(cls, src: Endpoint, dst: Endpoint) -> "ConnectionKey":
-        if _endpoint_order(dst) < _endpoint_order(src):
-            src, dst = dst, src
+        if dst < src:
+            return cls(dst, src)
         return cls(src, dst)
 
     @classmethod
@@ -143,10 +138,11 @@ class FlowTable:
         """Account one record; return flows completed by its arrival."""
         completed = self._expire(record.timestamp)
         key = ConnectionKey.from_record(record)
+        flags = record.flags
         flow = self._flows.get(key)
 
         if flow is not None and flow.closing_at is not None \
-                and record.is_syn and not record.has_ack:
+                and flags & (SYN | ACK) == SYN:
             # The 4-tuple is being reused: a fresh SYN against a
             # closed-down flow starts a new connection, so retire the
             # old one immediately rather than gluing them together.
@@ -155,9 +151,9 @@ class FlowTable:
             flow = None
 
         if flow is None:
-            if self.syn_only and not record.is_syn:
+            if self.syn_only and not flags & SYN:
                 self.stats.orphan_packets += 1
-                return sorted(completed, key=lambda f: f.index)
+                return _birth_order(completed)
             flow = Flow(key=key, index=self._next_index,
                         opened_at=record.timestamp)
             self._next_index += 1
@@ -175,19 +171,19 @@ class FlowTable:
 
         flow.records.append(record)
         flow.last_seen = record.timestamp
-        if record.is_syn:
+        if flags & SYN:
             flow.saw_syn = True
-        if record.is_rst:
+        if flags & RST:
             flow.close_pending = "rst"
             flow.closing_at = record.timestamp
-        elif record.is_fin:
+        elif flags & FIN:
             flow.fin_directions.add(record.flow)
         elif len(flow.fin_directions) >= 2 and record.is_pure_ack:
             # Both sides sent FIN and this looks like the final ack of
             # the teardown: start the time-wait linger.
             flow.close_pending = "fin"
             flow.closing_at = record.timestamp
-        return sorted(completed, key=lambda f: f.index)
+        return _birth_order(completed)
 
     def shed(self, count: int) -> list[Flow]:
         """Early-retire the *count* least-recently-active live flows.
@@ -243,6 +239,13 @@ class FlowTable:
                 self._retire(flow, "idle")
                 expired.append(flow)
         return expired
+
+
+def _birth_order(flows: list[Flow]) -> list[Flow]:
+    """*flows* sorted by birth order (most calls complete none)."""
+    if len(flows) > 1:
+        flows.sort(key=lambda flow: flow.index)
+    return flows
 
 
 def demux_records(records: Iterable[TraceRecord],

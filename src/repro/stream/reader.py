@@ -5,9 +5,9 @@ it — fine for a 100 KB transfer trace, hopeless for the multi-hour,
 multi-connection captures real packet filters produce (the paper's
 corpus alone was ~20,000 traces).  :func:`iter_pcap` is the streaming
 replacement: it decodes and yields each :class:`TraceRecord` as it is
-read, holds no more than one packet in memory, and degrades gracefully
-where the eager reader raised — truncated trailing records become
-warning-carrying partial results, unknown link types become a
+read, holds no more than one read chunk in memory, and degrades
+gracefully where the eager reader raised — truncated trailing records
+become warning-carrying partial results, unknown link types become a
 structured warning plus a best-effort raw-IP decode, and non-TCP
 cross-traffic is counted rather than crashed on.
 
@@ -40,16 +40,16 @@ from repro.trace.pcap import (
 )
 from repro.trace.record import TraceRecord
 from repro.trace.wire import (
+    RECORD_HEADER_LEN,
     AddressMap,
     PacketDecodeError,
+    decode_chunk,
     decode_packet,
-    decode_packet_batch,
 )
 
 ETHERNET_HEADER_LEN = 14
 
 GLOBAL_HEADER_LEN = 24
-RECORD_HEADER_LEN = 16
 
 #: How much pending capture a poll reads and batch-decodes at a time.
 #: Bounds memory for multi-GB captures while amortizing the per-call
@@ -185,41 +185,35 @@ class IncrementalPcapReader:
         stats = self.stats
         handle = self._handle
         endian = self.header.endian
+        unpack_incl_len = struct.Struct(endian + "I").unpack_from
         size = CHUNK_BYTES
         while True:
             handle.seek(self._offset)
             blob = handle.read(size)
             # Walk every complete record in the chunk without
-            # committing anything yet.
+            # committing anything yet; the decoder reads the rest of
+            # each record straight from the chunk.
+            end = len(blob)
             position = 0
-            metas: list[int] = []
-            packets: list[bytes] = []
-            timestamps: list[float] = []
-            verify: list[bool] = []
-            while position + RECORD_HEADER_LEN <= len(blob):
-                seconds, micros, incl_len, orig_len = struct.unpack_from(
-                    endian + "IIII", blob, position)
-                if position + RECORD_HEADER_LEN + incl_len > len(blob):
+            offsets: list[int] = []
+            while position + RECORD_HEADER_LEN <= end:
+                following = (position + RECORD_HEADER_LEN
+                             + unpack_incl_len(blob, position + 8)[0])
+                if following > end:
                     break         # record incomplete within this chunk
-                data = blob[position + RECORD_HEADER_LEN:
-                            position + RECORD_HEADER_LEN + incl_len]
-                position += RECORD_HEADER_LEN + incl_len
-                metas.append(incl_len)
-                packets.append(data[self._strip:])
-                timestamps.append(seconds + micros / 1e6)
-                verify.append(incl_len >= orig_len)
-            if not metas:
-                if len(blob) < size:
+                offsets.append(position)
+                position = following
+            if not offsets:
+                if end < size:
                     return        # partial tail: retry next poll
                 # A full read without one whole record: the record
                 # outgrows the read, so widen the read to cover it.
-                incl_len = (struct.unpack_from(endian + "I", blob, 8)[0]
-                            if len(blob) >= RECORD_HEADER_LEN else 0)
+                incl_len = (unpack_incl_len(blob, 8)[0]
+                            if end >= RECORD_HEADER_LEN else 0)
                 size = max(CHUNK_BYTES, RECORD_HEADER_LEN + incl_len)
                 continue
-            decoded = decode_packet_batch(packets, timestamps,
-                                          self.addresses, verify)
-            for incl_len, outcome in zip(metas, decoded):
+            for incl_len, outcome in decode_chunk(
+                    blob, offsets, endian, self._strip, self.addresses):
                 self._offset += RECORD_HEADER_LEN + incl_len
                 self._index += 1
                 stats.packets_seen += 1
@@ -234,8 +228,9 @@ class IncrementalPcapReader:
                     continue
                 stats.records_decoded += 1
                 yield outcome
-            if len(blob) < size:
+            if end < size:
                 return            # consumed all bytes on disk at read time
+            del blob, offsets     # free this chunk before the next read
             size = CHUNK_BYTES
 
     def finalize(self) -> Iterator[TraceRecord]:
@@ -330,8 +325,9 @@ def iter_pcap(path: str | FilePath,
               strict: bool = False) -> Iterator[TraceRecord]:
     """Yield each decoded TCP record of a pcap file, one at a time.
 
-    Memory use is O(1) in the capture length: exactly one packet is
-    held between yields.  Damage tolerance:
+    Memory use is O(1) in the capture length: at most one
+    ``CHUNK_BYTES`` read, plus one decode pass over it, is held
+    between yields.  Damage tolerance:
 
     - a truncated trailing record decodes with checksum verification
       off and is yielded as a partial result (plus a

@@ -16,6 +16,7 @@ for decoding.
 from __future__ import annotations
 
 import struct
+from typing import Iterator
 
 import numpy as np
 
@@ -25,6 +26,12 @@ from repro.trace.record import TraceRecord
 IP_HEADER_LEN = 20
 TCP_HEADER_LEN = 20
 PROTO_TCP = 6
+
+#: The pcap per-record header: seconds, microseconds, incl_len, orig_len.
+RECORD_HEADER_LEN = 16
+
+#: Chunk bytes one vectorized pass of :func:`decode_chunk` covers.
+DECODE_SPAN_BYTES = 256 << 10
 
 
 class PacketDecodeError(ValueError):
@@ -231,163 +238,185 @@ def decode_packet(data: bytes, timestamp: float,
         packet_id=packet_id)
 
 
-def decode_packet_batch(packets: list[bytes], timestamps: list[float],
-                        addresses: AddressMap | None = None,
-                        verify_checksums: list[bool] | None = None
-                        ) -> list:
-    """Decode many raw packets at once; vectorized where possible.
+def decode_chunk(chunk: bytes, offsets: list[int], endian: str, strip: int,
+                 addresses: AddressMap | None = None
+                 ) -> Iterator[tuple[int, TraceRecord | PacketDecodeError]]:
+    """Decode whole pcap records straight from the buffer they were read into.
 
-    Returns one entry per input packet: a :class:`TraceRecord`, or the
-    :class:`PacketDecodeError` :func:`decode_packet` would have raised.
-    In batches of 16 or more, "simple" packets — IPv4 without IP
-    options, TCP, header fully captured, option area empty or exactly
-    one MSS option — have their header fields gathered and checksums
-    summed across the whole batch in array operations; every other
-    packet (IP options, exotic TCP options, odd-length segments with
-    link trailers, anything malformed) takes the per-packet path, so
-    results including error kinds and messages are identical to
-    calling :func:`decode_packet` in a loop.
+    *offsets* are the byte offsets within *chunk* of complete records
+    (a pcap record header plus its ``incl_len`` captured bytes),
+    *endian* is the capture's struct prefix and *strip* the link-layer
+    header length to skip.  Yields, per record in order, its
+    ``incl_len`` and the :class:`TraceRecord` :func:`decode_packet`
+    returns for its packet, or the :class:`PacketDecodeError` it
+    raises; checksums are verified for records captured whole
+    (``incl_len >= orig_len``), as the reader always did.
+
+    "Simple" packets — IPv4 without IP options, TCP, headers fully
+    captured, option area empty or exactly one MSS option — decode in
+    array operations: header fields are gathered from one byte view
+    of *chunk* at the record offsets, and each TCP segment's checksum
+    is summed in place.  Every other packet (IP options, other TCP
+    options, anything malformed) is decoded by :func:`decode_packet`
+    on its slice of *chunk*, so records, error kinds and messages are
+    identical to a per-packet loop.  Work proceeds in passes over
+    ``DECODE_SPAN_BYTES`` of the chunk, so the arrays and records in
+    flight stay small beside the chunk itself.
     """
-    n = len(packets)
-    if verify_checksums is None:
-        verify_checksums = [True] * n
-    results: list = [None] * n
-    simple_rows: "list[int]" = []
-    if n >= 16:
-        simple_rows = _decode_simple_rows(packets, timestamps, addresses,
-                                          verify_checksums, results)
-    remaining = (range(n) if not simple_rows
-                 else sorted(set(range(n)) - set(simple_rows)))
-    for i in remaining:
-        try:
-            results[i] = decode_packet(packets[i], timestamps[i], addresses,
-                                       verify_checksums[i])
-        except PacketDecodeError as error:
-            results[i] = error
-    return results
+    octets = np.frombuffer(chunk, dtype=np.uint8)
+    # The big-endian 16-bit words at both byte parities: a segment
+    # starting at byte x is summed over words[x & 1] from x >> 1.
+    words = (np.frombuffer(chunk, dtype=">u2", count=len(chunk) // 2),
+             np.frombuffer(chunk, dtype=">u2", offset=1,
+                           count=(len(chunk) - 1) // 2))
+    starts = np.asarray(offsets, dtype=np.int64)
+    cuts = np.searchsorted(starts, np.arange(
+        DECODE_SPAN_BYTES, len(chunk), DECODE_SPAN_BYTES)).tolist()
+    # One lookup per record for its (source, destination) endpoints.
+    endpoints: dict = {}
+    first = 0
+    for last in cuts + [len(starts)]:
+        if last > first:
+            yield from _decode_span(chunk, octets, words, starts[first:last],
+                                    endian == "<", strip, addresses,
+                                    endpoints)
+            first = last
 
 
-def _decode_simple_rows(packets, timestamps, addresses, verify_checksums,
-                        results) -> list:
-    """Vectorized decode of the simple packets; fills *results* in
-    place and returns the row indexes it handled."""
-    n = len(packets)
-    lens = np.fromiter((len(p) for p in packets), dtype=np.int64, count=n)
-    # Concatenate with per-packet padding to even length, so every
-    # packet starts on a 16-bit word boundary and an odd TCP segment's
-    # checksum pad byte is the zero RFC 1071 specifies.
-    buffer = b"".join(p if len(p) % 2 == 0 else p + b"\x00"
-                      for p in packets)
-    starts = np.concatenate((np.zeros(1, dtype=np.int64),
-                             np.cumsum(lens + (lens & 1))[:-1]))
-    octets = np.frombuffer(buffer, dtype=np.uint8)
-    word_sums = np.concatenate((
-        np.zeros(1, dtype=np.int64),
-        np.cumsum(np.frombuffer(buffer, dtype=">u2"), dtype=np.int64)))
+def _decode_span(chunk, octets, words, starts, little, strip, addresses,
+                 endpoints) -> Iterator[tuple[int, TraceRecord
+                                              | PacketDecodeError]]:
+    """One vectorized pass of :func:`decode_chunk` over *starts*."""
 
-    candidate = np.flatnonzero(lens >= IP_HEADER_LEN + TCP_HEADER_LEN)
-    if candidate.size == 0:
-        return []
-    s = starts[candidate]
-    clens = lens[candidate]
+    def field(at, width, little=False) -> "np.ndarray":
+        return _gather(octets, at, width, little)
 
-    def gather(offsets) -> "np.ndarray":
-        # Fancy-gather one header byte per packet, widened so shifts
-        # cannot overflow uint8.
-        return octets[offsets].astype(np.int64)
+    incl_len = field(starts + 8, 4, little)
+    timestamps = field(starts, 4, little) + field(starts + 4, 4, little) / 1e6
+    verify = incl_len >= field(starts + 12, 4, little)
+    ip = starts + (RECORD_HEADER_LEN + strip)
+    length = incl_len - strip                 # captured datagram bytes
+    results: list = [None] * len(starts)
+    simple = np.zeros(len(starts), dtype=bool)
 
-    version_ihl = gather(s)
-    total_len = (gather(s + 2) << 8) | gather(s + 3)
-    packet_id = (gather(s + 4) << 8) | gather(s + 5)
-    simple = ((version_ihl == 0x45)             # IPv4, no IP options
-              & (gather(s + 9) == PROTO_TCP)
-              & (total_len >= IP_HEADER_LEN))
-    tcp_end = np.minimum(clens, total_len)
-    tcp_len = tcp_end - IP_HEADER_LEN
-    simple &= tcp_len >= TCP_HEADER_LEN
-
+    candidate = np.flatnonzero(length >= IP_HEADER_LEN + TCP_HEADER_LEN)
+    s = ip[candidate]
+    total_len = field(s + 2, 2)
+    tcp_len = np.minimum(length[candidate], total_len) - IP_HEADER_LEN
     t = s + IP_HEADER_LEN
-    src_port = (gather(t) << 8) | gather(t + 1)
-    dst_port = (gather(t + 2) << 8) | gather(t + 3)
-    seq = ((gather(t + 4) << 24) | (gather(t + 5) << 16)
-           | (gather(t + 6) << 8) | gather(t + 7))
-    ack = ((gather(t + 8) << 24) | (gather(t + 9) << 16)
-           | (gather(t + 10) << 8) | gather(t + 11))
-    flags = gather(t + 13)
-    window = (gather(t + 14) << 8) | gather(t + 15)
-    header_len = (gather(t + 12) >> 4) * 4
-    simple &= ((header_len == TCP_HEADER_LEN)
-               | (header_len == TCP_HEADER_LEN + 4))
-    simple &= tcp_len >= header_len
-
-    # The only 4-byte option area decoded vectorially is an exact MSS
-    # option; anything else falls back to the per-packet option walk.
-    mss = np.full(candidate.size, -1, dtype=np.int64)
-    with_options = np.flatnonzero(simple & (header_len == TCP_HEADER_LEN + 4))
+    header_len = (octets[t + 12] >> 4).astype(np.int64) * 4
+    shaped = ((octets[s] == 0x45)                # IPv4, no IP options
+              & (octets[s + 9] == PROTO_TCP)
+              & (total_len >= IP_HEADER_LEN)
+              & ((header_len == TCP_HEADER_LEN)
+                 | (header_len == TCP_HEADER_LEN + 4))
+              & (tcp_len >= header_len))
+    # The only 4-byte option area decoded here is an exact MSS option;
+    # anything else falls back to the per-packet option walk.
+    mss = np.full(len(candidate), -1, dtype=np.int64)
+    with_options = np.flatnonzero(shaped & (header_len > TCP_HEADER_LEN))
     if with_options.size:
         o = t[with_options] + TCP_HEADER_LEN
         is_mss = (octets[o] == 2) & (octets[o + 1] == 4)
-        simple[with_options] &= is_mss
-        mss[with_options[is_mss]] = ((gather(o[is_mss] + 2) << 8)
-                                     | gather(o[is_mss] + 3))
+        shaped[with_options] = is_mss
+        mss[with_options[is_mss]] = field(o[is_mss] + 2, 2)
+    rows = np.flatnonzero(shaped)
+    handled = candidate[rows]
+    simple[handled] = True
+    s, t, total_len, tcp_len = s[rows], t[rows], total_len[rows], tcp_len[rows]
 
-    truncated = clens < total_len
-    verify = (np.fromiter((verify_checksums[i] for i in candidate),
-                          dtype=bool, count=candidate.size)
-              & ~truncated)
-    # An odd TCP segment followed by link-trailer bytes would checksum
-    # over the trailer's first byte instead of a zero pad: per-packet.
-    simple &= ~(verify & (tcp_len % 2 == 1) & (tcp_end < clens))
+    corrupted = np.zeros(len(rows), dtype=bool)
+    check = np.flatnonzero(verify[handled] & (length[handled] >= total_len))
+    if check.size:
+        corrupted[check] = _checksum_fails(octets, words, s[check],
+                                           tcp_len[check])
 
-    corrupted = np.zeros(candidate.size, dtype=bool)
-    check_rows = np.flatnonzero(simple & verify)
-    if check_rows.size:
-        cs = s[check_rows]
-        clen = tcp_len[check_rows]
-        first = (cs + IP_HEADER_LEN) >> 1
-        last = (cs + IP_HEADER_LEN + clen + (clen & 1)) >> 1
-        segment_sum = word_sums[last] - word_sums[first]
-        pseudo_sum = (word_sums[(cs + 20) >> 1] - word_sums[(cs + 12) >> 1]
-                      + PROTO_TCP + clen)
-        total = segment_sum + pseudo_sum
-        for _ in range(3):                    # fold carries (RFC 1071)
-            total = (total & 0xFFFF) + (total >> 16)
-        corrupted[check_rows] = total != 0xFFFF
+    for (i, timestamp, src, dst, seq, ack, flags, payload, window, rmss,
+         damaged, packet_id) in zip(
+            handled.tolist(), timestamps[handled].tolist(),
+            ((field(s + 12, 4) << 16) | field(t, 2)).tolist(),
+            ((field(s + 16, 4) << 16) | field(t + 2, 2)).tolist(),
+            field(t + 4, 4).tolist(), field(t + 8, 4).tolist(),
+            octets[t + 13].tolist(),
+            np.maximum(total_len - IP_HEADER_LEN
+                       - header_len[rows], 0).tolist(),
+            field(t + 14, 2).tolist(), mss[rows].tolist(),
+            corrupted.tolist(), field(s + 4, 2).tolist()):
+        pair = endpoints.get((src, dst))
+        if pair is None:
+            pair = endpoints[src, dst] = (_endpoint(src, addresses),
+                                          _endpoint(dst, addresses))
+        results[i] = TraceRecord(timestamp, pair[0], pair[1], seq, ack,
+                                 flags, payload, window,
+                                 None if rmss < 0 else rmss, damaged,
+                                 packet_id)
 
-    src_ip = ((gather(s + 12) << 24) | (gather(s + 13) << 16)
-              | (gather(s + 14) << 8) | gather(s + 15))
-    dst_ip = ((gather(s + 16) << 24) | (gather(s + 17) << 16)
-              | (gather(s + 18) << 8) | gather(s + 19))
-    payload = np.maximum(total_len - IP_HEADER_LEN - header_len, 0)
+    fallback = np.flatnonzero(~simple)
+    for i, timestamp, begin, end, checked in zip(
+            fallback.tolist(), timestamps[fallback].tolist(),
+            ip[fallback].tolist(),
+            (starts[fallback] + RECORD_HEADER_LEN
+             + incl_len[fallback]).tolist(),
+            verify[fallback].tolist()):
+        try:
+            results[i] = decode_packet(chunk[begin:end], timestamp,
+                                       addresses, checked)
+        except PacketDecodeError as error:
+            results[i] = error
+    yield from zip(incl_len.tolist(), results)
 
-    endpoint_cache: dict = {}
 
-    def endpoint(ip: int, port: int) -> Endpoint:
-        key = (ip, port)
-        cached = endpoint_cache.get(key)
-        if cached is None:
-            text = f"{ip >> 24 & 255}.{ip >> 16 & 255}.{ip >> 8 & 255}.{ip & 255}"
-            name = addresses.name_for(text) if addresses is not None else text
-            cached = Endpoint(name, port)
-            endpoint_cache[key] = cached
-        return cached
+def _gather(octets, at, width, little=False) -> "np.ndarray":
+    """The *width*-byte unsigned integer at each offset *at*, as int64
+    (big-endian unless *little*)."""
+    value = np.zeros(len(at), dtype=np.int64)
+    for k in (range(width - 1, -1, -1) if little else range(width)):
+        value = (value << 8) | octets[at + k]
+    return value
 
-    # Build the records from plain Python lists: converting whole
-    # columns once is far cheaper than per-element numpy scalar reads.
-    rows = np.flatnonzero(simple)
-    handled = candidate[rows].tolist()
-    for (i, sip, sport, dip, dport, rseq, rack, rflags, rpayload,
-         rwindow, rmss, rcorrupt, rid) in zip(
-            handled, src_ip[rows].tolist(), src_port[rows].tolist(),
-            dst_ip[rows].tolist(), dst_port[rows].tolist(),
-            seq[rows].tolist(), ack[rows].tolist(), flags[rows].tolist(),
-            payload[rows].tolist(), window[rows].tolist(),
-            mss[rows].tolist(), corrupted[rows].tolist(),
-            packet_id[rows].tolist()):
-        results[i] = TraceRecord(
-            timestamp=timestamps[i],
-            src=endpoint(sip, sport), dst=endpoint(dip, dport),
-            seq=rseq, ack=rack, flags=rflags, payload=rpayload,
-            window=rwindow, mss_option=None if rmss < 0 else rmss,
-            corrupted=rcorrupt, packet_id=rid)
-    return handled
+
+def _checksum_fails(octets, words, ip, tcp_len) -> "np.ndarray":
+    """Whether each TCP segment's RFC 1071 checksum fails.
+
+    *ip* are the datagram offsets in the chunk and *tcp_len* the
+    segment lengths (link trailers excluded).  Each segment's words
+    are summed in place with ``np.add.reduceat`` over the word view of
+    its start parity; an odd last byte counts as ``byte << 8`` (the
+    zero pad), and the pseudo-header comes from the address bytes.
+    """
+    total = (_gather(octets, ip + 12, 2) + _gather(octets, ip + 14, 2)
+             + _gather(octets, ip + 16, 2) + _gather(octets, ip + 18, 2)
+             + PROTO_TCP + tcp_len)
+    begin = ip + IP_HEADER_LEN
+    odd = np.flatnonzero(tcp_len & 1)
+    total[odd] += octets[begin[odd] + tcp_len[odd] - 1].astype(np.int64) << 8
+    first = begin >> 1
+    last = first + (tcp_len >> 1)
+    for parity in (0, 1):
+        rows = np.flatnonzero((begin & 1) == parity)
+        if rows.size == 0:
+            continue
+        low = first[rows[0]]
+        bounds = np.empty(2 * rows.size, dtype=np.int64)
+        bounds[0::2] = first[rows] - low
+        bounds[1::2] = last[rows] - low
+        # reduceat sums from each bound to the next: even entries are
+        # the segments, odd ones the gaps between them (discarded, and
+        # free to wrap).  The final bound is the slice's end, where the
+        # last sum stops anyway.  A segment is at most 65,535 bytes,
+        # so its word sum fits in uint32.
+        sums = np.add.reduceat(words[parity][low:last[rows[-1]]],
+                               bounds[:-1], dtype=np.uint32)
+        total[rows] += sums[0::2]
+    for _ in range(3):                        # fold carries (RFC 1071)
+        total = (total & 0xFFFF) + (total >> 16)
+    return total != 0xFFFF
+
+
+def _endpoint(key: int, addresses: AddressMap | None) -> Endpoint:
+    """The endpoint of a ``ip << 16 | port`` key."""
+    ip = key >> 16
+    text = f"{ip >> 24}.{ip >> 16 & 255}.{ip >> 8 & 255}.{ip & 255}"
+    if addresses is not None:
+        text = addresses.name_for(text)
+    return Endpoint(text, key & 0xFFFF)

@@ -1,7 +1,11 @@
 """The tcpanaly command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -316,6 +320,20 @@ class TestBatchStream:
                  for line in jsonl.read_text().splitlines()]
         assert len(lines) == 4
         assert all("ingest" in line and "flow" in line for line in lines)
+
+
+class TestStartup:
+    def test_import_loads_neither_serve_nor_analysis(self):
+        """`batch` and friends start without the daemon stack or the
+        plot code: each command imports those when it runs."""
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        probe = ("import sys, repro.cli; print(*sorted(m for m in "
+                 "sys.modules if m.startswith(('repro.serve', "
+                 "'repro.analysis'))))")
+        loaded = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert loaded.stdout.split() == []
 
 
 class TestErrorPaths:
