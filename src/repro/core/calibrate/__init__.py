@@ -81,7 +81,8 @@ class CalibrationReport:
 
 def calibrate_trace(trace: Trace, behavior: TCPBehavior | None = None,
                     peer_trace: Trace | None = None, *,
-                    sender_analysis=None) -> CalibrationReport:
+                    sender_analysis=None,
+                    vantage: str | None = None) -> CalibrationReport:
     """Run every calibration check applicable to *trace*.
 
     ``behavior`` enables the behavior-dependent drop and resequencing
@@ -92,10 +93,12 @@ def calibrate_trace(trace: Trace, behavior: TCPBehavior | None = None,
     (*trace*, *behavior*) so those checks reuse it instead of
     replaying again — only honoured if duplicate removal leaves the
     trace untouched, since the replay must match the cleaned trace.
+    ``vantage`` optionally supplies ``infer_vantage(trace)``; it is
+    reused for the cleaned trace only if that is *trace* itself.
     """
     report = CalibrationReport(reported_drops=trace.reported_drops)
     report.time_travel = detect_time_travel(trace)
-    pairs = detect_duplicates(trace, behavior=behavior)
+    pairs = detect_duplicates(trace, vantage=vantage, behavior=behavior)
     # The §3.1.2 duplication defect copies *every* outbound packet, so
     # a handful of header-identical pairs (genuine dup acks or
     # back-to-back retransmissions) does not establish it.  Demand a
@@ -112,8 +115,9 @@ def calibrate_trace(trace: Trace, behavior: TCPBehavior | None = None,
     # violation, window-then-ack resequencing) both need the same
     # sender replay of the cleaned trace: compute it once here rather
     # than letting each check replay independently.
-    from repro.core.vantage import infer_vantage
-    vantage = infer_vantage(cleaned)
+    if vantage is None or cleaned is not trace:
+        from repro.core.vantage import infer_vantage
+        vantage = infer_vantage(cleaned)
     if shared is None and behavior is not None and vantage == "sender" \
             and cleaned.records:
         from repro.core.sender.analyzer import TraceUnusable, analyze_sender

@@ -18,9 +18,11 @@ exhaustive loop ignores:
   connection-establishment timers, labels) replay identically, so the
   engine replays each class once and relabels the analysis for the
   other members.  The receiver replay reads just two policy fields,
-  collapsing the catalog to a handful of replays (per-candidate
-  *scoring* still runs for every member — it is cheap and reads the
-  full behavior).
+  and only through obligations it can prove never mattered, so most
+  traces need one receiver replay for the whole catalog (see
+  :meth:`IdentificationEngine.identify_receiver`).  Receiver scoring
+  reads four behavior fields, so it runs once per distinct four per
+  replay.
 
 * **Trace-conditioned replay keys.**  Many sender fields are read
   only after an event a given trace provably never triggers: a
@@ -113,9 +115,14 @@ _SENDER_IRRELEVANT = frozenset({
 })
 
 #: The only TCPBehavior fields the receiver *replay* reads
-#: (:func:`repro.core.receiver.analyzer._arrival`); scoring reads
-#: more, but scoring runs per candidate anyway.
+#: (:func:`repro.core.receiver.analyzer._arrival`).
 _RECEIVER_RELEVANT = ("immediate_ack_on_hole_fill", "ack_on_consumption")
+
+#: The only TCPBehavior fields receiver *scoring* reads
+#: (:func:`repro.core.fit.score_receiver_policy` and its
+#: ``_expected_delay_ceiling``); tests/core/test_engine.py audits it.
+_RECEIVER_SCORED = ("ack_policy", "delayed_ack_timeout",
+                    "ack_every_segments", "immediate_ack_on_hole_fill")
 
 
 #: The fields a sender replay may read, in declaration order.
@@ -133,6 +140,12 @@ def sender_signature(behavior: TCPBehavior) -> tuple:
 def receiver_signature(behavior: TCPBehavior) -> tuple:
     """Hashable key under which receiver replays are interchangeable."""
     return tuple(getattr(behavior, f) for f in _RECEIVER_RELEVANT)
+
+
+def receiver_score_signature(behavior: TCPBehavior) -> tuple:
+    """Hashable key under which receiver scores are interchangeable:
+    candidates equal on it score any one analysis identically."""
+    return tuple(getattr(behavior, f) for f in _RECEIVER_SCORED)
 
 
 #: The shortest gap between consecutive sends that lets
@@ -443,6 +456,9 @@ class IdentificationEngine:
         else:
             self._sender_groups = [[name] for name in names]
             self._receiver_groups = [[name] for name in names]
+        self._receiver_names = names
+        self._score_keys = {name: receiver_score_signature(behavior)
+                            for name, behavior in self.candidates.items()}
 
     # -- sender side -------------------------------------------------------
 
@@ -569,13 +585,48 @@ class IdentificationEngine:
             except ValueError:
                 return [ReceiverFit(name, "unusable")
                         for name in sorted(self.candidates)]
+        # One replay for every class, unless the policy mattered.  The
+        # policy fields (_RECEIVER_RELEVANT) reach the replay only
+        # through AckObligation.mandatory, and only on a hole fill or
+        # an in-sequence arrival with unacked >= 2 * full_size; _arrival
+        # marks exactly those obligations policy_dependent, and every
+        # other obligation's flag is the same under every policy.
+        # ``mandatory`` is read only by ObligationTracker.expire (the
+        # audit in tests/core/test_engine.py), which moves an obligation
+        # to ``missed`` once its age passes MANDATORY_ACK_DEADLINE if
+        # mandatory, else MAX_ACK_DELAY, the longer one: at an age up to
+        # MANDATORY_ACK_DEADLINE both keep it pending.  So replays under
+        # any two policies hold equal state and append equal
+        # explanations, gratuitous acks and ceiling violations step for
+        # step, until an expire call finds a policy-dependent obligation
+        # older than that; the tracker then sets policy_mattered, in
+        # every replay alike.  The final expire(inf) is such a call for
+        # anything still pending, so unset, the flag also means no
+        # policy-dependent obligation, whose ``mandatory`` differs, is
+        # on the missed list.  Hence an unset flag on the first class's
+        # replay means every class replays this trace identically.
+        groups = self._receiver_groups
+        first = analyze_receiver(None, self.candidates[groups[0][0]],
+                                 groups[0][0], pass_one=pass_one)
+        if self.share_replays and not first.policy_mattered:
+            replays = [(first, self._receiver_names)]
+        else:
+            replays = [(first, groups[0])] + [
+                (analyze_receiver(None, self.candidates[group[0]],
+                                  group[0], pass_one=pass_one), group)
+                for group in groups[1:]]
         fits: list[ReceiverFit] = []
-        for group in self._receiver_groups:
-            analysis = analyze_receiver(None, self.candidates[group[0]],
-                                        group[0], pass_one=pass_one)
-            for name in group:
-                behavior = self.candidates[name]
-                labelled = self._relabel(analysis, name)
-                fits.append(score_receiver_policy(labelled, behavior))
+        for analysis, names in replays:
+            # Scoring reads the analysis and _RECEIVER_SCORED only;
+            # each member gets its own fit and inconsistency list.
+            scored: dict[tuple, ReceiverFit] = {}
+            for name in names:
+                key = self._score_keys[name]
+                fit = scored.get(key)
+                if fit is None:
+                    fit = scored[key] = score_receiver_policy(
+                        analysis, self.candidates[name])
+                fits.append(ReceiverFit(name, fit.category, fit.score,
+                                        list(fit.inconsistencies)))
         fits.sort(key=lambda f: (f.score, f.implementation))
         return fits

@@ -72,6 +72,12 @@ class ReceiverAnalysis:
     notes: list[str] = field(default_factory=list)
     #: The data sender's full segment size (from its SYN MSS option).
     full_size: int = 536
+    #: Whether the acking policy could have changed this replay: some
+    #: obligation whose ``mandatory`` flag the policy decides was
+    #: still pending more than :data:`MANDATORY_ACK_DEADLINE` after it
+    #: was incurred (``ObligationTracker.policy_mattered``).  When
+    #: False, every policy replays this trace identically.
+    policy_mattered: bool = False
 
     def counts_by_kind(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -228,6 +234,7 @@ def analyze_receiver(trace: Trace | None, behavior: TCPBehavior,
 
     tracker.expire(float("inf"), MANDATORY_ACK_DEADLINE)
     analysis.missed_obligations = tracker.missed
+    analysis.policy_mattered = tracker.policy_mattered
     return analysis
 
 
@@ -278,18 +285,22 @@ def _arrival(time: float, seg_start: int, payload: int, fin: bool,
         tracker.incur(AckObligation(time, mandatory=mandatory_hole_fill,
                                     reason="hole_fill",
                                     covering_ack=rcv_nxt,
-                                    new_bytes=new_bytes))
+                                    new_bytes=new_bytes,
+                                    policy_dependent=True))
     else:
         unacked = seq_diff(rcv_nxt, last_ack_value)
         # Consumption-acking stacks (§9.1) generate the two-segment ack
         # only when the application reads — invisible from the trace —
         # so the obligation stays optional (the 500 ms ceiling still
         # applies).
-        mandatory = unacked >= 2 * full_size and not ack_on_consumption
-        tracker.incur(AckObligation(time, mandatory=mandatory,
+        two_segments = unacked >= 2 * full_size
+        tracker.incur(AckObligation(time,
+                                    mandatory=(two_segments
+                                               and not ack_on_consumption),
                                     reason="in_sequence",
                                     covering_ack=rcv_nxt,
-                                    new_bytes=new_bytes))
+                                    new_bytes=new_bytes,
+                                    policy_dependent=two_segments))
     return rcv_nxt, ooo, fin_rcv_seq
 
 

@@ -28,11 +28,10 @@ class AckObligation:
     #                             hole_fill / fin
     covering_ack: int           # the rcv_nxt an ack must carry to discharge
     new_bytes: int = 0
-
-    def discharged_by(self, ack_value: int, rcv_nxt: int) -> bool:
-        """An ack carrying the receiver's current rcv_nxt discharges
-        everything pending (acks are cumulative)."""
-        return ack_value == rcv_nxt or ack_value == self.covering_ack
+    #: ``mandatory`` came from the candidate's acking policy, not from
+    #: the arrival alone (a hole fill, or in-sequence data with two
+    #: full segments unacked).
+    policy_dependent: bool = False
 
 
 @dataclass
@@ -42,15 +41,16 @@ class ObligationTracker:
     pending: list[AckObligation] = field(default_factory=list)
     #: Obligations that went undischarged past their deadline.
     missed: list[AckObligation] = field(default_factory=list)
+    #: Some policy-dependent obligation was still pending at an
+    #: ``expire`` call more than the mandatory deadline after it was
+    #: incurred: the only way the policy can change a replay.
+    policy_mattered: bool = False
 
     def incur(self, obligation: AckObligation) -> None:
         self.pending.append(obligation)
 
     def oldest_pending_time(self) -> float | None:
         return self.pending[0].time if self.pending else None
-
-    def has_mandatory(self) -> bool:
-        return any(o.mandatory for o in self.pending)
 
     def discharge(self, ack_time: float) -> list[AckObligation]:
         """An ack was sent at *ack_time*: everything pending is
@@ -66,9 +66,12 @@ class ObligationTracker:
         seconds; optional ones after the RFC's 500 ms."""
         still_pending = []
         for obligation in self.pending:
+            age = now - obligation.time
+            if obligation.policy_dependent and age > mandatory_deadline:
+                self.policy_mattered = True
             deadline = (mandatory_deadline if obligation.mandatory
                         else MAX_ACK_DELAY)
-            if now - obligation.time > deadline:
+            if age > deadline:
                 self.missed.append(obligation)
             else:
                 still_pending.append(obligation)

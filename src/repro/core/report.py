@@ -170,7 +170,8 @@ def analyze_trace(trace: Trace, behavior: TCPBehavior | None = None,
     # instead of re-running the sender analyzer on the same trace.
     with stage("calibration"):
         calibration = calibrate_trace(trace, behavior, peer_trace,
-                                      sender_analysis=sender_analysis)
+                                      sender_analysis=sender_analysis,
+                                      vantage=vantage)
     report = TraceReport(vantage=vantage, calibration=calibration,
                          sender=sender_analysis)
     if behavior is not None and vantage != "sender" \

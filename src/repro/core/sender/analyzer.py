@@ -30,6 +30,7 @@ two replays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -156,8 +157,10 @@ class SenderAnalysis:
         delays = self.response_delays
         return min(delays) if delays else 0.0
 
-    @property
+    @cached_property
     def mean_response_delay(self) -> float:
+        """Computed once, when :func:`analyze_sender` finishes the
+        replay; relabelled copies of a shared replay carry it."""
         delays = self.response_delays
         return sum(delays) / len(delays) if delays else 0.0
 
@@ -317,6 +320,7 @@ def analyze_sender(trace: Trace | None, behavior: TCPBehavior,
     _replay(pass_one, behavior, analysis, abort_score=abort_score)
     if not analysis.replay_aborted:
         _infer_sender_window(behavior, pass_one.facts, analysis)
+    analysis.mean_response_delay  # cache it: the classifications are final
     return analysis
 
 

@@ -6,9 +6,10 @@ key once per trace — prefilters statically impossible candidates,
 and aborts hopeless replays: every trick is only admissible because
 the resulting ranking is identical to the exhaustive oracle's.  These
 tests pin that equivalence across the catalog, the scenario corpus
-and fuzz plans, audit the read sites the trace-conditioned rules rest
-on, plus the engine-specific behaviors (abort marking, pruning,
-determinism) and the slots regression for the hot dataclasses.
+and fuzz plans, audit the read sites the trace-conditioned rules and
+the one-receiver-replay rule rest on, plus the engine-specific
+behaviors (abort marking, pruning, determinism) and the slots
+regression for the hot dataclasses.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import ast
 import dataclasses
 import enum
 import inspect
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,7 @@ from repro.core.engine import (
     REPLAY_RULES,
     IdentificationEngine,
     prefilter_reason,
+    receiver_score_signature,
     receiver_signature,
     replay_conditions,
     replay_key,
@@ -37,6 +41,18 @@ from repro.core.fit import (
     SCORE_SATURATION,
     identify_implementation,
     identify_receiver,
+)
+from repro.core import fit as fit_module
+from repro.core.receiver import analyzer as receiver_analyzer
+from repro.core.receiver.analyzer import (
+    MANDATORY_ACK_DEADLINE,
+    analyze_receiver,
+    extract_receiver_pass_one,
+)
+from repro.core.receiver.obligations import (
+    MAX_ACK_DELAY,
+    AckObligation,
+    ObligationTracker,
 )
 from repro.core.report import analyze_trace
 from repro.core.sender import analyzer, windows
@@ -52,6 +68,7 @@ from repro.trace.record import TraceRecord
 from repro.trace.text import parse_trace
 
 from tests.conftest import cached_transfer
+from tests.core.test_receiver_golden import _pin as _receiver_pin
 from tests.core.test_replay_golden import QUENCH_FIXTURE, _pin
 
 
@@ -112,25 +129,174 @@ class TestSenderEquivalence:
             identify_implementation(trace).fits)
 
 
+def receiver_fits(fits):
+    return [(f.implementation, f.category, f.score, f.inconsistencies)
+            for f in fits]
+
+
+#: One receiver trace per catalog stack and scenario.  osf1-1.3a/wan
+#: is policy-sensitive: its acking policy decides a pending
+#: obligation, so every receiver class replays it.
+RECEIVER_CASES = [(implementation, scenario)
+                  for scenario in ("wan-lossy", "wan")
+                  for implementation in sorted(CATALOG)]
+RECEIVER_PLANS = [plan for plan in iter_plans(0, 40)
+                  if plan.vantage == "receiver"]
+
+
 class TestReceiverEquivalence:
-    @pytest.mark.parametrize("implementation,scenario", [
-        ("reno", "wan-lossy"),
-        ("solaris-2.3", "wan-lossy"),
-        ("solaris-2.4", "wan"),
-        ("windows-NT", "wan-lossy"),
-    ])
+    @pytest.mark.parametrize("implementation,scenario", RECEIVER_CASES)
     def test_fits_match_exhaustive_exactly(self, implementation, scenario):
         trace = cached_transfer(implementation, scenario).receiver_trace
         exhaustive = identify_receiver(trace)
         engine = IdentificationEngine().identify_receiver(trace)
-        assert [(f.implementation, f.category, f.score, f.inconsistencies)
-                for f in engine] \
-            == [(f.implementation, f.category, f.score, f.inconsistencies)
-                for f in exhaustive]
+        assert receiver_fits(engine) == receiver_fits(exhaustive)
+
+    @pytest.mark.parametrize("plan", RECEIVER_PLANS,
+                             ids=lambda plan: f"seed{plan.seed}")
+    def test_fuzz_plans_match_exhaustive_exactly(self, plan):
+        trace = _plan_trace(plan)
+        assert receiver_fits(IdentificationEngine().identify_receiver(
+            trace)) == receiver_fits(identify_receiver(trace))
 
     def test_receiver_classes_collapse_the_catalog(self):
         signatures = {receiver_signature(b) for b in CATALOG.values()}
         assert len(signatures) < len(CATALOG) // 2
+
+    def test_every_member_gets_its_own_fit(self):
+        trace = cached_transfer("reno", "wan-lossy").receiver_trace
+        fits = IdentificationEngine().identify_receiver(trace)
+        assert sorted(fit.implementation for fit in fits) == sorted(CATALOG)
+        lists = [fit.inconsistencies for fit in fits]
+        assert len({id(inconsistencies) for inconsistencies in lists}) \
+            == len(lists)
+
+
+LATE_HOLE_FILL_ACK = """\
+0.000000 sender.1024 > receiver.9000: S 0:1(0) win 65535 <mss 512>
+0.000100 receiver.9000 > sender.1024: S. 0:1(0) ack 1 win 65535 <mss 512>
+0.050000 sender.1024 > receiver.9000: . 1:513(512) ack 1 win 65535
+0.050100 sender.1024 > receiver.9000: . 1025:1537(512) ack 1 win 65535
+0.050200 receiver.9000 > sender.1024: . 1:1(0) ack 513 win 65535
+0.100000 sender.1024 > receiver.9000: . 513:1025(512) ack 1 win 65535
+0.200000 receiver.9000 > sender.1024: . 1:1(0) ack 1537 win 65535
+"""
+
+
+class TestReceiverReplaySharing:
+    """One receiver replay per trace unless the acking policy decided
+    an obligation; scoring once per scoring class."""
+
+    @staticmethod
+    def _count(monkeypatch, engine, trace):
+        """The candidates ``analyze_receiver`` replays for *trace*."""
+        calls = []
+        real = engine_module.analyze_receiver
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "analyze_receiver", counting)
+        engine.identify_receiver(trace)
+        return calls
+
+    def test_policy_blind_trace_replays_once(self, monkeypatch):
+        trace = cached_transfer("reno", "wan-lossy").receiver_trace
+        assert len(self._count(monkeypatch, IdentificationEngine(),
+                               trace)) == 1
+
+    def test_policy_sensitive_trace_replays_every_class(self, monkeypatch):
+        engine = IdentificationEngine()
+        trace = cached_transfer("osf1-1.3a", "wan").receiver_trace
+        calls = self._count(monkeypatch, engine, trace)
+        assert len(engine._receiver_groups) == 3
+        assert calls == [group[0] for group in engine._receiver_groups]
+
+    def test_unshared_engine_replays_every_candidate(self, monkeypatch):
+        trace = cached_transfer("reno", "wan-lossy").receiver_trace
+        calls = self._count(monkeypatch,
+                            IdentificationEngine(share_replays=False), trace)
+        assert calls == sorted(CATALOG)
+
+    def test_late_hole_fill_ack_replays_every_class(self, monkeypatch):
+        # The hole fill at 0.100 is acked 100 ms later: past the
+        # mandatory deadline, so only stacks that delay hole-fill acks
+        # still owe it.  No catalog transfer delays one that long.
+        trace = parse_trace(LATE_HOLE_FILL_ACK, vantage="receiver")
+        assert self._assert_flag_is_sound(trace)
+        engine = IdentificationEngine()
+        assert len(self._count(monkeypatch, engine, trace)) \
+            == len(engine._receiver_groups)
+        assert receiver_fits(engine.identify_receiver(trace)) \
+            == receiver_fits(identify_receiver(trace))
+
+    def test_scoring_runs_once_per_scoring_class(self, monkeypatch):
+        engine = IdentificationEngine()
+        calls = []
+        real = engine_module.score_receiver_policy
+
+        def counting(analysis, behavior):
+            calls.append(receiver_score_signature(behavior))
+            return real(analysis, behavior)
+
+        monkeypatch.setattr(engine_module, "score_receiver_policy",
+                            counting)
+        engine.identify_receiver(
+            cached_transfer("reno", "wan-lossy").receiver_trace)
+        assert len(calls) == len(set(calls)) < len(CATALOG)
+        assert set(calls) == {receiver_score_signature(b)
+                              for b in CATALOG.values()}
+
+    @staticmethod
+    def _assert_flag_is_sound(trace) -> bool:
+        """The flag the sharing rests on: every class's replay sets it
+        alike, and when it is unset they all pin identically.  Returns
+        the flag."""
+        try:
+            pass_one = extract_receiver_pass_one(trace)
+        except ValueError:
+            return False
+        analyses = [analyze_receiver(None, CATALOG[group[0]], group[0],
+                                     pass_one=pass_one)
+                    for group in IdentificationEngine()._receiver_groups]
+        flags = {analysis.policy_mattered for analysis in analyses}
+        assert len(flags) == 1
+        pins = {json.dumps(_receiver_pin(analysis), sort_keys=True)
+                for analysis in analyses}
+        assert flags == {True} or len(pins) == 1
+        return flags == {True}
+
+    @pytest.mark.parametrize("implementation,scenario", RECEIVER_CASES)
+    def test_flag_is_sound_on_the_catalog(self, implementation, scenario):
+        trace = cached_transfer(implementation, scenario).receiver_trace
+        mattered = self._assert_flag_is_sound(trace)
+        assert mattered == (implementation == "osf1-1.3a")
+
+    @pytest.mark.parametrize("plan", RECEIVER_PLANS,
+                             ids=lambda plan: f"seed{plan.seed}")
+    def test_flag_is_sound_on_fuzz_plans(self, plan):
+        self._assert_flag_is_sound(_plan_trace(plan))
+
+    def test_tracker_flags_only_a_policy_dependent_obligation_past_the_deadline(
+            self):
+        def tracker(policy_dependent):
+            tracked = ObligationTracker()
+            tracked.incur(AckObligation(0.0, mandatory=False,
+                                        reason="in_sequence",
+                                        covering_ack=1,
+                                        policy_dependent=policy_dependent))
+            return tracked
+
+        at_deadline = tracker(True)
+        at_deadline.expire(MANDATORY_ACK_DEADLINE, MANDATORY_ACK_DEADLINE)
+        assert not at_deadline.policy_mattered
+        past = tracker(True)
+        past.expire(MANDATORY_ACK_DEADLINE + 0.001, MANDATORY_ACK_DEADLINE)
+        assert past.policy_mattered and past.pending
+        fixed = tracker(False)
+        fixed.expire(float("inf"), MANDATORY_ACK_DEADLINE)
+        assert not fixed.policy_mattered and fixed.missed
 
 
 class TestEarlyAbort:
@@ -232,6 +398,15 @@ class TestDeterminism:
             if fit.analysis is not None:
                 assert fit.analysis.implementation == fit.implementation
 
+    def test_relabelled_copies_carry_the_mean_delay(self):
+        # Cached when the replay finishes; a copy never recomputes it.
+        trace = cached_transfer("tahoe", "wan-lossy").sender_trace
+        for fit in IdentificationEngine().identify_sender(trace).fits:
+            if fit.analysis is not None:
+                delays = fit.analysis.response_delays
+                assert vars(fit.analysis)["mean_response_delay"] == (
+                    sum(delays) / len(delays) if delays else 0.0)
+
     def test_sender_classes_are_nontrivial(self):
         signatures = {sender_signature(b) for b in CATALOG.values()}
         assert len(signatures) < len(CATALOG)
@@ -293,14 +468,18 @@ def _snapshot(report) -> list:
     return [(fit.to_dict(), _analysis(fit.analysis)) for fit in report.fits]
 
 
-def _plan_sender_trace(plan):
-    """A fuzz plan's sender trace, filter faults and record manglers
-    applied as the sweep applies them."""
+def _plan_trace(plan):
+    """A fuzz plan's trace at its vantage, filter faults and record
+    manglers applied as the sweep applies them."""
+    sender = plan.vantage == "sender"
+    fuzz_filter = _build_filter(plan)
     transfer = traced_transfer(
         get_behavior(plan.implementation), scenario=plan.scenario,
         data_size=plan.data_size, seed=plan.seed,
-        sender_filter=_build_filter(plan), max_duration=plan.max_duration)
-    trace = transfer.sender_trace
+        sender_filter=fuzz_filter if sender else None,
+        receiver_filter=None if sender else fuzz_filter,
+        max_duration=plan.max_duration)
+    trace = transfer.sender_trace if sender else transfer.receiver_trace
     for name in plan.record_manglers:
         trace = RECORD_MANGLERS[name](
             trace, random.Random(f"record-{plan.seed}-{name}"))
@@ -349,7 +528,7 @@ class TestTraceConditionedKeys:
         plan for plan in iter_plans(0, 40) if plan.vantage == "sender"],
         ids=lambda plan: f"seed{plan.seed}")
     def test_fuzz_plans_match_the_per_class_oracle(self, plan):
-        trace = _plan_sender_trace(plan)
+        trace = _plan_trace(plan)
         shared = IdentificationEngine().identify_sender(trace)
         oracle = IdentificationEngine(
             share_replays=False).identify_sender(trace)
@@ -620,6 +799,84 @@ class TestReplayRuleAudit:
         assert ast.unparse(floor.value) == "max(1, n_rows // 50)"
         assert "max(1, len(pass_one.data_rows) // 50)" in inspect.getsource(
             IdentificationEngine.identify_sender)
+
+
+class _AttributeLoads(_Sites):
+    """Loads of ``<expr>.<attr>`` for one attribute name, by enclosing
+    qualname."""
+
+    def __init__(self, module: str, attr: str):
+        super().__init__(module)
+        self.attr = attr
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr == self.attr and isinstance(node.ctx, ast.Load):
+            self.reads.append((node.attr, ".".join(self.scope)))
+        self.generic_visit(node)
+
+
+def _source_tree() -> dict[str, ast.Module]:
+    """Every module of the ``repro`` package, parsed, by dotted name."""
+    root = Path(engine_module.__file__).parents[1]
+    return {".".join(path.relative_to(root).with_suffix("").parts):
+            ast.parse(path.read_text())
+            for path in sorted(root.rglob("*.py"))}
+
+
+class TestReceiverSharingAudit:
+    """The receiver sharing rule's proof (``identify_receiver``) and
+    the scoring classes rest on these read sites."""
+
+    def test_mandatory_is_read_only_by_expire(self):
+        sites = []
+        for module, tree in _source_tree().items():
+            visitor = _AttributeLoads(module, "mandatory")
+            visitor.visit(tree)
+            sites += [site for _, site in visitor.reads]
+        assert sites == ["core.receiver.obligations.ObligationTracker.expire"]
+
+    def test_computed_mandatory_flags_declare_their_policy_dependence(self):
+        # A constant flag is the same under every policy; a computed one
+        # must say whether the candidate's policy decided it.
+        for node in ast.walk(ast.parse(inspect.getsource(
+                receiver_analyzer))):
+            if not (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "AckObligation"):
+                continue
+            keywords = {k.arg: k.value for k in node.keywords}
+            if not isinstance(keywords["mandatory"], ast.Constant):
+                assert "policy_dependent" in keywords, ast.unparse(node)
+
+    def test_replay_reads_only_the_receiver_fields(self):
+        visitor = _Sites("analyzer")
+        visitor.visit(ast.parse(inspect.getsource(receiver_analyzer)))
+        fields = {field for field, _ in visitor.reads} - {"label"}
+        assert fields == set(engine_module._RECEIVER_RELEVANT)
+
+    def test_scoring_reads_only_the_declared_fields(self):
+        scoring = ("score_receiver_policy", "_expected_delay_ceiling")
+        visitor = _Sites("fit")
+        visitor.visit(ast.parse(inspect.getsource(fit_module)))
+        fields = {field for field, site in visitor.reads
+                  if site.split(".")[-1] in scoring}
+        assert fields == set(engine_module._RECEIVER_SCORED)
+        # ... and the behavior escapes nowhere else.
+        for name in scoring:
+            function = _function(fit_module, name)
+            parents = {child: node for node in ast.walk(function)
+                       for child in ast.iter_child_nodes(node)}
+            for node in ast.walk(function):
+                if isinstance(node, ast.Name) and node.id == "behavior":
+                    parent = parents[node]
+                    assert isinstance(parent, ast.Attribute) or (
+                        isinstance(parent, ast.Call)
+                        and getattr(parent.func, "id", None)
+                        == "_expected_delay_ceiling"), ast.unparse(parent)
+
+    def test_mandatory_deadline_is_the_shorter(self):
+        # Below the mandatory deadline both deadlines keep an
+        # obligation pending, whichever flag it carries.
+        assert MANDATORY_ACK_DEADLINE < MAX_ACK_DELAY
 
 
 class TestSlots:

@@ -63,6 +63,47 @@ class TestAnalyzeTrace:
         assert report.calibration is not None
 
 
+def _count_vantage_inference(monkeypatch) -> list:
+    import repro.core.report as report_module
+    import repro.core.vantage as vantage_module
+    calls = []
+    real = vantage_module.infer_vantage
+
+    def counting(trace):
+        calls.append(trace)
+        return real(trace)
+
+    monkeypatch.setattr(vantage_module, "infer_vantage", counting)
+    monkeypatch.setattr(report_module, "infer_vantage", counting)
+    return calls
+
+
+class TestVantageInference:
+    @pytest.mark.parametrize("side", ["sender", "receiver"])
+    def test_inferred_once_per_trace(self, side, monkeypatch):
+        calls = _count_vantage_inference(monkeypatch)
+        trace = getattr(cached_transfer("reno", "wan-lossy"),
+                        f"{side}_trace")
+        report = analyze_trace(trace, get_behavior("reno"), identify=True)
+        assert report.vantage == side
+        assert calls == [trace]
+
+    def test_inferred_again_on_a_cleaned_trace(self, monkeypatch):
+        from repro.capture.errors import DuplicationInjector
+        from repro.capture.filter import PacketFilter
+        from repro.harness.scenarios import traced_transfer
+        packet_filter = PacketFilter(vantage="sender",
+                                     duplication=DuplicationInjector())
+        trace = traced_transfer(get_behavior("reno"), "lan",
+                                data_size=20480,
+                                sender_filter=packet_filter).sender_trace
+        calls = _count_vantage_inference(monkeypatch)
+        report = analyze_trace(trace)
+        assert report.calibration.duplicates
+        assert len(calls) == 2 and calls[0] is trace \
+            and calls[1] is not trace
+
+
 #: Every ``analyze_trace`` stage: (error_stage tag, the call it wraps,
 #: the trace side that reaches it).  The tag is written to JSONL.
 STAGES = [
