@@ -79,7 +79,8 @@ def detect_duplicates(trace: Trace, vantage: str | None = None,
         return []
     outbound_flow = flow if vantage == "sender" else flow.reversed()
     columns = trace.columns()
-    if not _has_close_header_repeat(columns, columns.flow_id(outbound_flow)):
+    outbound = columns.flow_id(outbound_flow)
+    if not _has_close_header_repeat(columns, outbound):
         return []
     if behavior is not None and behavior.dup_ack_triggers_flight_retransmit:
         dup_trigger = 1
@@ -90,9 +91,11 @@ def detect_duplicates(trace: Trace, vantage: str | None = None,
 
     events: list[DuplicateEvent] = []
     records = trace.records
+    # Flow ids, not ``record.flow``, which builds a FlowKey per record.
+    ids = columns.flow_ids.tolist()
     claimed: set[int] = set()       # indices already matched as a copy
     for i, first in enumerate(records):
-        if i in claimed or first.flow != outbound_flow:
+        if i in claimed or ids[i] != outbound:
             continue
         key = _header_key(first)
         intervening_dups = 0
@@ -105,7 +108,7 @@ def detect_duplicates(trace: Trace, vantage: str | None = None,
             if j in claimed:
                 continue
             if _header_key(second) != key:
-                if second.flow == outbound_flow:
+                if ids[j] == outbound:
                     continue
                 if first.payload == 0 and (second.payload > 0
                                            or second.is_fin):

@@ -219,14 +219,18 @@ def check_stretch_ack_gap(trace: Trace, flow) -> list[DropEvidence]:
     good.  Each arrival is pushed and popped once: O(n log n).
     """
     evidence = []
-    reverse = flow.reversed()
+    # Flow ids from the columns, not ``record.flow``: that would build
+    # a FlowKey per record.
+    columns = trace.columns()
+    fid = columns.flow_id(flow)
+    rid = columns.reverse_id(fid) if fid >= 0 else -1
     rcv_high = None    # highest contiguous arrival boundary seen
     high = 0           # rcv_high unwrapped: an integer that only rises
     # (start, end, raw end) of arrivals not yet merged, unwrapped
     waiting: list[tuple[int, int, int]] = []
-    for record in trace:
-        if record.flow == flow and (record.payload > 0 or record.is_syn
-                                    or record.is_fin):
+    for record, record_id in zip(trace.records, columns.flow_ids.tolist()):
+        if record_id == fid and (record.payload > 0 or record.is_syn
+                                 or record.is_fin):
             if rcv_high is None:
                 rcv_high = record.seq_end
                 continue
@@ -237,7 +241,7 @@ def check_stretch_ack_gap(trace: Trace, flow) -> list[DropEvidence]:
                 _, end, raw_end = heapq.heappop(waiting)
                 if end > high:
                     high, rcv_high = end, raw_end
-        elif record.flow == reverse and record.has_ack and not record.is_syn:
+        elif record_id == rid and record.has_ack and not record.is_syn:
             if rcv_high is not None and seq_gt(record.ack, rcv_high):
                 evidence.append(DropEvidence(
                     "stretch_ack_gap", record.timestamp,

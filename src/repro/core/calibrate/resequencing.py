@@ -127,25 +127,31 @@ def detect_ack_before_arrival(trace: Trace, flow) -> list[ResequencingEvent]:
     the acked data arriving; the outbound ack must never precede the
     arrival it acknowledges.
     """
-    if not _screen_ack_before_arrival(trace.columns(), flow):
+    columns = trace.columns()
+    if not _screen_ack_before_arrival(columns, flow):
         return []
     events = []
     records = trace.records
-    reverse = flow.reversed()
+    # Flow ids, not ``record.flow``, which builds a FlowKey per record.
+    # The screen passed, so both directions are in the trace.
+    ids = columns.flow_ids.tolist()
+    fid = columns.flow_id(flow)
+    rid = columns.reverse_id(fid)
     rcv_high: int | None = None
     for i, record in enumerate(records):
-        if record.flow == flow and (record.payload > 0 or record.is_syn):
+        if ids[i] == fid and (record.payload > 0 or record.is_syn):
             if rcv_high is None or seq_gt(record.seq_end, rcv_high):
                 rcv_high = record.seq_end
-        elif (record.flow == reverse and record.has_ack
+        elif (ids[i] == rid and record.has_ack
               and not record.is_syn):
             if rcv_high is None or not seq_gt(record.ack, rcv_high):
                 continue
             # The ack covers unseen data: does it arrive very shortly?
-            for later in records[i + 1:i + 6]:
+            for j in range(i + 1, min(i + 6, len(records))):
+                later = records[j]
                 if later.timestamp - record.timestamp > SHORTLY:
                     break
-                if (later.flow == flow and later.payload > 0
+                if (ids[j] == fid and later.payload > 0
                         and seq_ge(later.seq_end, record.ack)):
                     events.append(ResequencingEvent(
                         "ack_before_arrival", record.timestamp, later,

@@ -68,12 +68,12 @@ from typing import Callable, NamedTuple
 
 from repro.tcp.catalog import CATALOG
 from repro.tcp.params import (
+    MAX_WINDOW,
     QuenchResponse,
     TCPBehavior,
     initial_cwnd,
     initial_ssthresh,
 )
-from repro.tcp.sender import MAX_WINDOW
 from repro.trace.record import Trace
 
 from repro.core.fit import (
@@ -91,6 +91,7 @@ from repro.core.receiver.analyzer import (
     extract_receiver_pass_one,
 )
 from repro.core.sender.analyzer import (
+    LULL_S,
     ConnectionFacts,
     SenderAnalysis,
     SenderPassOne,
@@ -147,11 +148,6 @@ def receiver_score_signature(behavior: TCPBehavior) -> tuple:
     candidates equal on it score any one analysis identically."""
     return tuple(getattr(behavior, f) for f in _RECEIVER_SCORED)
 
-
-#: The shortest gap between consecutive sends that lets
-#: ``_quench_inference`` (core/sender/analyzer.py) start a quench
-#: trial: it requires ``time - last_send_time >= max(0.05, 0.5*srtt)``.
-LULL_S = 0.05
 
 _SLOW_START_RESPONSES = (QuenchResponse.SLOW_START,
                          QuenchResponse.SLOW_START_HALVE_SSTHRESH)
@@ -343,8 +339,11 @@ REPLAY_RULES: dict[str, ReplayRule] = {
         lambda conditions, behavior:
             not conditions.ssthresh_cut_possible(behavior)
             and conditions.initial_window(behavior)[1] > MAX_WINDOW),
-    # ``_quench_inference`` returns None before any trial for every
-    # response, so ``apply_quench`` never runs.
+    # ``_replay`` never calls ``_quench_inference``, the one reader of
+    # quench_response and the one caller of ``apply_quench``.  (A
+    # replay that never reaches a lull step, even on a trace with a
+    # lull, shares the same way: see the lull-free keys in
+    # ``IdentificationEngine.identify_sender``.)
     "no lull": ReplayRule(
         ("quench_response",),
         ("windows.SenderModel.apply_quench", "analyzer._quench_inference"),
@@ -494,9 +493,28 @@ class IdentificationEngine:
             prefit_penalty(facts, self.candidates[group[0]]), group[0]))
 
         # Trace-conditioned replay sharing: key -> (analysis, bound).
-        keys = (self._replay_keys(replay_conditions(pass_one))
-                if self.share_replays else None)
+        # A replay that never reached a lull step (``lull_reached``
+        # unset) is also shared under its lull-free key, the key as if
+        # the trace had no lull.  Proof: two classes with equal
+        # lull-free keys differ only in fields that rule proofs under
+        # ``lull=False`` confine to ``_quench_inference`` and
+        # ``apply_quench``, or to the estimator's srtt (read only by
+        # ``_quench_inference``) and RTO (the lull-free key keeps
+        # rto_style whenever a retransmission is possible).
+        # ``_replay`` calls ``_quench_inference`` only at a step that
+        # sets ``lull_reached``, and sets it from replay state alone.
+        # So both replays hold equal state step for step until the
+        # first such step, reach it alike, and if one never reaches
+        # it, neither does, and neither ever reads a field they differ
+        # in: they are the same replay.
+        if self.share_replays:
+            conditions = replay_conditions(pass_one)
+            keys = self._replay_keys(conditions)
+            quiet_keys = self._replay_keys(conditions._replace(lull=False))
+        else:
+            keys = quiet_keys = None
         replays: dict[tuple, tuple[SenderAnalysis, float | None]] = {}
+        quiet: dict[tuple, tuple[SenderAnalysis, float | None]] = {}
         # _replay's category-"incorrect" floor, for reuses_replay.
         floor = max(1, len(pass_one.data_rows) // 50)
         best_completed: float | None = None
@@ -508,17 +526,20 @@ class IdentificationEngine:
                          else max(best_completed, SCORE_SATURATION))
             analysis = None
             if keys is not None:
-                key = keys[group[0]]
-                shared = replays.get(key)
-                if shared is not None and reuses_replay(*shared, bound,
-                                                        floor):
-                    analysis = shared[0]
+                key, quiet_key = keys[group[0]], quiet_keys[group[0]]
+                for shared in (replays.get(key), quiet.get(quiet_key)):
+                    if shared is not None and reuses_replay(*shared, bound,
+                                                            floor):
+                        analysis = shared[0]
+                        break
             if analysis is None:
                 analysis = analyze_sender(None, behavior, group[0],
                                           pass_one=pass_one,
                                           abort_score=bound)
                 if keys is not None:
                     replays[key] = (analysis, bound)
+                    if not analysis.lull_reached:
+                        quiet[quiet_key] = (analysis, bound)
             if analysis.replay_aborted:
                 lower_bound = analysis.violation_count * 10.0
                 for name in group:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import struct
 from contextlib import contextmanager
+from typing import Iterable
 
 #: Every kind a quarantined payload's ``error_kind`` may carry.
 ERROR_KINDS = ("decode", "io", "model", "timeout", "crash", "cancelled")
@@ -46,9 +47,10 @@ ERROR_KINDS = ("decode", "io", "model", "timeout", "crash", "cancelled")
 TRANSIENT_KINDS = frozenset({"io", "timeout", "crash", "cancelled"})
 
 
-def is_durable(payloads: list[dict]) -> bool:
-    """True when no payload carries a transient ``error_kind``: the
-    one rule for whether a result may be cached or journaled."""
+def is_durable(payloads: Iterable[dict]) -> bool:
+    """True when no payload (or payload's parent fields) carries a
+    transient ``error_kind``: the one rule for whether a result may
+    be cached or journaled."""
     return all(payload.get("error_kind") not in TRANSIENT_KINDS
                for payload in payloads)
 

@@ -55,6 +55,10 @@ TIMEOUT_TOLERANCE = 0.5
 QUENCH_DELAY_THRESHOLD = 0.1
 #: Window within which the Solaris retransmit-after-ack quirk fires.
 QUIRK_WINDOW = 0.05
+#: The shortest gap since the last send at which ``_quench_inference``
+#: can start a quench trial: it requires a gap of at least
+#: ``max(LULL_S, 0.5 * srtt)``.
+LULL_S = 0.05
 
 
 class Classification(NamedTuple):
@@ -146,6 +150,10 @@ class SenderAnalysis:
     #: True when branch-and-bound identification cut this replay short;
     #: violation/delay tallies are then lower bounds, not final values.
     replay_aborted: bool = False
+    #: True once the replay reached a step where it tries a quench
+    #: inference after a gap of at least :data:`LULL_S`; unset, no
+    #: quench trial can have started, whatever the candidate.
+    lull_reached: bool = False
 
     @property
     def response_delays(self) -> list[float]:
@@ -553,10 +561,16 @@ def _replay(pass_one: SenderPassOne, behavior: TCPBehavior,
             # The packet is permitted but long overdue (or inexplicable):
             # hypothesize an unseen source quench (§6.2), subject to the
             # next packets replaying consistently.  The trial snapshots
-            # the replay state only if the hypothesis is taken.
-            quenched = _quench_inference(state, record, row, index)
-            if quenched is not None:
-                classification, trial = quenched
+            # the replay state only if the hypothesis is taken.  Below
+            # LULL_S of quiet no candidate infers one; the flag is set
+            # before the candidate is consulted, so it depends on the
+            # replay state alone (the engine's lull-free keys rely on
+            # this: see ``IdentificationEngine.identify_sender``).
+            if time - state.last_send_time >= LULL_S:
+                analysis.lull_reached = True
+                quenched = _quench_inference(state, record, row, index)
+                if quenched is not None:
+                    classification, trial = quenched
         if classification is None:
             classification = _lookahead(state, record, row)
         if classification is None and seq_gt(row[1], model.snd_nxt):
@@ -645,7 +659,7 @@ def _quench_inference(state: _Replay, record: TraceRecord,
     # engine's ``replay_conditions`` relies on this test: a trace with
     # no gap of 0.05 s between sends never starts a trial.)
     srtt = getattr(model.estimator, "srtt", None) or 0.1
-    if time - state.last_send_time < max(0.05, 0.5 * srtt):
+    if time - state.last_send_time < max(LULL_S, 0.5 * srtt):
         return None
     # The situation: every ack up to now is consumed, the model's window
     # would have permitted this send long ago, and the delay is large.

@@ -22,8 +22,7 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from repro.tcp import params as P
-from repro.tcp.params import TCPBehavior
-from repro.tcp.sender import MAX_WINDOW
+from repro.tcp.params import MAX_WINDOW, TCPBehavior
 from repro.tcp.timers import make_estimator
 from repro.units import seq_diff, seq_gt, seq_lt
 

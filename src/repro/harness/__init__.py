@@ -1,38 +1,38 @@
-"""Experiment infrastructure: scenarios and trace-corpus generation."""
+"""Experiment infrastructure: scenarios and trace-corpus generation.
 
-from repro.harness.scenarios import (
-    SCENARIOS,
-    Scenario,
-    traced_transfer,
-    TracedTransfer,
-)
-from repro.harness.corpus import generate_corpus, CorpusEntry
-from repro.harness.faults import (
-    FAULT_KINDS,
-    RESOURCE_FAULT_KINDS,
-    FaultPlan,
-    FaultSpec,
-    ResourceFaultPlan,
-    ResourceFaultSpec,
-    decode_storm_bytes,
-)
-from repro.harness.probing import Arrival, drive_receiver, probe_hole_fill
+The re-exports below load on first use (PEP 562), so importing one
+submodule — ``repro.harness.scenarios`` for ``SCENARIOS``, say — does
+not pull in the simulator behind the others.
+"""
 
-__all__ = [
-    "SCENARIOS",
-    "Scenario",
-    "traced_transfer",
-    "TracedTransfer",
-    "generate_corpus",
-    "CorpusEntry",
-    "Arrival",
-    "drive_receiver",
-    "probe_hole_fill",
-    "FAULT_KINDS",
-    "FaultPlan",
-    "FaultSpec",
-    "RESOURCE_FAULT_KINDS",
-    "ResourceFaultPlan",
-    "ResourceFaultSpec",
-    "decode_storm_bytes",
-]
+import importlib
+
+#: Re-exported name -> the submodule that defines it.
+_EXPORTS = {
+    "SCENARIOS": "scenarios",
+    "Scenario": "scenarios",
+    "traced_transfer": "scenarios",
+    "TracedTransfer": "scenarios",
+    "generate_corpus": "corpus",
+    "CorpusEntry": "corpus",
+    "Arrival": "probing",
+    "drive_receiver": "probing",
+    "probe_hole_fill": "probing",
+    "FAULT_KINDS": "faults",
+    "FaultPlan": "faults",
+    "FaultSpec": "faults",
+    "RESOURCE_FAULT_KINDS": "faults",
+    "ResourceFaultPlan": "faults",
+    "ResourceFaultSpec": "faults",
+    "decode_storm_bytes": "faults",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

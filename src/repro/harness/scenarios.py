@@ -14,15 +14,17 @@ the unit of measurement of the entire study.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.capture.filter import PacketFilter, attach_filter_pair
-from repro.netsim.engine import Engine
-from repro.netsim.link import LossModel, RandomLoss
-from repro.netsim.network import build_path
-from repro.tcp.connection import TransferResult, run_bulk_transfer
 from repro.tcp.params import TCPBehavior
 from repro.trace.record import Trace
 from repro.units import kbit, kbyte, mbit
+
+if TYPE_CHECKING:
+    # The simulator loads when a transfer runs, not with SCENARIOS.
+    from repro.capture.filter import PacketFilter
+    from repro.netsim.link import LossModel
+    from repro.tcp.connection import TransferResult
 
 
 @dataclass(frozen=True)
@@ -57,11 +59,13 @@ class Scenario:
     def forward_loss(self, seed: int = 0) -> LossModel | None:
         if self.drop_rate == 0.0 and self.corrupt_rate == 0.0:
             return None
+        from repro.netsim.link import RandomLoss
         return RandomLoss(self.drop_rate, self.corrupt_rate, seed=seed)
 
     def reverse_loss(self, seed: int = 0) -> LossModel | None:
         if self.ack_drop_rate == 0.0:
             return None
+        from repro.netsim.link import RandomLoss
         # Offset the seed so forward and reverse losses decorrelate.
         return RandomLoss(self.ack_drop_rate, seed=seed + 0x5EED)
 
@@ -146,6 +150,11 @@ def traced_transfer(behavior: TCPBehavior,
     Pass pre-configured :class:`PacketFilter` objects to inject
     measurement errors; by default both filters are perfect.
     """
+    from repro.capture.filter import attach_filter_pair
+    from repro.netsim.engine import Engine
+    from repro.netsim.network import build_path
+    from repro.tcp.connection import run_bulk_transfer
+
     if isinstance(scenario, str):
         scenario = SCENARIOS[scenario]
     engine = Engine()

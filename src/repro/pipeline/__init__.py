@@ -17,6 +17,7 @@ items durably so an interrupted run resumes where it stopped.
 from repro.core.errors import ERROR_KINDS, AnalysisError, classify_exception
 from repro.pipeline.cache import ResultCache, file_digest, trace_digest
 from repro.pipeline.journal import BatchJournal
+from repro.pipeline.lines import PayloadLine, encode_payload
 from repro.pipeline.report import aggregate_report, result_line, write_jsonl
 from repro.pipeline.resilience import (
     PoolSession,
@@ -40,6 +41,7 @@ __all__ = [
     "BatchItem",
     "BatchJournal",
     "BatchResult",
+    "PayloadLine",
     "PoolSession",
     "ResultCache",
     "TraceResult",
@@ -48,6 +50,7 @@ __all__ = [
     "analyze_item_stream",
     "classify_exception",
     "corpus_items",
+    "encode_payload",
     "error_payload",
     "file_digest",
     "memory_items",

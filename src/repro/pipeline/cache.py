@@ -1,6 +1,7 @@
 """On-disk result cache for the batch pipeline.
 
-Each cached entry is the JSON payload produced for one trace, keyed by
+Each cached entry is the JSON payload produced for one trace (or, in
+stream mode, the ``{"flows": [...]}`` document of a capture), keyed by
 a digest of the trace *content* combined with the implementation
 catalog's version digest.  Re-running a corpus therefore only analyzes
 traces that are new or changed — and editing the catalog (the paper's
@@ -86,18 +87,21 @@ class ResultCache:
             return None
         return payload if isinstance(payload, dict) else None
 
-    def put(self, content_digest: str, payload: dict) -> None:
-        """Store *payload* atomically (write-then-rename).
+    def put(self, content_digest: str, text: str) -> None:
+        """Store one entry's canonical JSON *text* atomically
+        (write-then-rename).
 
-        A failed serialization (or a full disk) must not strand the
-        scratch file: it is unlinked before the error propagates, so
-        an aborted put leaves the cache directory exactly as it was.
+        The text is written as it is: the batch runner assembles it
+        from the workers' payload lines.  A failed write (a full disk)
+        must not strand the scratch file: it is unlinked before the
+        error propagates, so an aborted put leaves the cache directory
+        exactly as it was.
         """
         path = self._path(content_digest)
         scratch = path.with_suffix(f".tmp{os.getpid()}")
         try:
             with open(scratch, "w") as handle:
-                json.dump(payload, handle, sort_keys=True)
+                handle.write(text)
         except BaseException:
             scratch.unlink(missing_ok=True)
             raise

@@ -7,8 +7,10 @@ quarantined), its payloads are appended as one JSON line and flushed
 to disk, so ``tcpanaly batch --resume`` replays completed items from
 the journal and re-analyzes only the remainder.  The final JSONL is
 byte-identical to an uninterrupted run's, because the journal stores
-the exact payloads and the pipeline's output ordering is by trace
-name, not completion time.
+the exact payload lines and the pipeline's output ordering is by
+trace name, not completion time.  An entry is assembled from the
+lines the workers produced (:mod:`repro.pipeline.lines`), so
+recording one encodes no payload.
 
 Entries are keyed by item *name* and validated by content *digest*:
 a renamed or edited trace never reuses a stale entry.  A header line
@@ -29,6 +31,12 @@ import os
 from pathlib import Path
 
 from repro.pipeline.cache import ANALYSIS_SCHEMA_VERSION
+from repro.pipeline.lines import (
+    PayloadLine,
+    encode_payload,
+    json_array,
+    json_object,
+)
 from repro.tcp.catalog import catalog_version
 
 JOURNAL_FORMAT = 1
@@ -40,23 +48,25 @@ class BatchJournal:
     With ``resume=False`` any existing journal is truncated; with
     ``resume=True`` a compatible journal's entries become the resume
     set (and the file is rewritten compactly before appending).
+    Entries recorded by this run go to disk only: a run looks each
+    item up before analyzing it, never after, so keeping them would
+    only grow a long-lived daemon's memory with every flow.
     """
 
     def __init__(self, path: str | Path, stream: bool = False,
                  resume: bool = False):
         self.path = Path(path)
         self.stream = stream
-        self._completed: dict[str, tuple[str, list[dict]]] = {}
+        self._completed: dict[str, tuple[str, list[PayloadLine]]] = {}
         if resume:
             self._load()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # Rewrite rather than append: guarantees a valid header and no
         # torn trailing line underneath the entries we are keeping.
         self._handle = open(self.path, "w")
-        self._write_line(self._header())
-        for name, (digest, payloads) in self._completed.items():
-            self._write_line({"name": name, "digest": digest,
-                              "payloads": payloads})
+        self._write(json.dumps(self._header(), sort_keys=True))
+        for name, (digest, lines) in self._completed.items():
+            self._write(_entry(name, digest, lines))
 
     def _header(self) -> dict:
         return {"journal": JOURNAL_FORMAT,
@@ -91,30 +101,33 @@ class BatchJournal:
             name, digest = entry.get("name"), entry.get("digest")
             payloads = entry.get("payloads")
             if isinstance(name, str) and isinstance(digest, str) \
-                    and isinstance(payloads, list):
-                self._completed[name] = (digest, payloads)
+                    and isinstance(payloads, list) \
+                    and all(isinstance(p, dict) for p in payloads):
+                # Resuming is rare: re-encoding here hands lookup's
+                # callers the shape a worker's result has.
+                self._completed[name] = (
+                    digest, [encode_payload(p) for p in payloads])
 
-    def _write_line(self, payload: dict) -> None:
-        self._handle.write(json.dumps(payload, sort_keys=True) + "\n")
+    def _write(self, line: str) -> None:
+        self._handle.write(line + "\n")
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
     def __len__(self) -> int:
         return len(self._completed)
 
-    def lookup(self, name: str, digest: str) -> list[dict] | None:
-        """The completed payloads for *name*, if its content matches."""
+    def lookup(self, name: str, digest: str) -> list[PayloadLine] | None:
+        """The resumed payload lines for *name*, if its content
+        matches."""
         entry = self._completed.get(name)
         if entry is None or entry[0] != digest:
             return None
         return entry[1]
 
     def record(self, name: str, digest: str,
-               payloads: list[dict]) -> None:
+               lines: list[PayloadLine]) -> None:
         """Checkpoint one completed item (durable before returning)."""
-        self._completed[name] = (digest, payloads)
-        self._write_line({"name": name, "digest": digest,
-                          "payloads": payloads})
+        self._write(_entry(name, digest, lines))
 
     def close(self) -> None:
         if not self._handle.closed:
@@ -125,3 +138,12 @@ class BatchJournal:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _entry(name: str, digest: str, lines: list[PayloadLine]) -> str:
+    """One journal entry, byte-equal to ``json.dumps({"name": name,
+    "digest": digest, "payloads": payloads}, sort_keys=True)``."""
+    return json_object([("digest", json.dumps(digest)),
+                        ("name", json.dumps(name)),
+                        ("payloads", json_array(entry.line
+                                                for entry in lines))])

@@ -5,12 +5,13 @@ the stable machine-readable interface downstream tooling scripts
 against.  ``aggregate_report`` condenses a batch into the shape of
 the paper's corpus summary: per-implementation trace counts, a
 confusion matrix of ground truth against best fit, identification
-accuracy, measurement-error detections, and throughput.
+accuracy, measurement-error detections, and throughput.  Neither
+encodes nor parses a payload: the lines come from the workers, and
+the aggregate reads each result's parent fields.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from repro.pipeline.runner import BatchResult, TraceResult
 
 def result_line(result: TraceResult) -> str:
     """One trace's canonical JSONL line (no trailing newline)."""
-    return json.dumps(result.payload, sort_keys=True)
+    return result.line
 
 
 def write_jsonl(results: list[TraceResult], path: str | Path) -> None:
@@ -30,8 +31,7 @@ def write_jsonl(results: list[TraceResult], path: str | Path) -> None:
     files regardless of job count or cache state.
     """
     with open(path, "w") as handle:
-        for result in results:
-            handle.write(result_line(result) + "\n")
+        handle.writelines(f"{result.line}\n" for result in results)
 
 
 def _best_fit(payload: dict) -> tuple[str | None, str | None]:
@@ -69,7 +69,7 @@ def _truth_identified(payload: dict) -> bool:
 
 def aggregate_report(batch: BatchResult) -> str:
     """Render the Table-1-style aggregate for one batch run."""
-    all_payloads = [result.payload for result in batch.results]
+    all_payloads = [result.fields for result in batch.results]
     failed = [p for p in all_payloads if "error" in p]
     payloads = [p for p in all_payloads if "error" not in p]
     senders = [p for p in payloads if "identification" in p]

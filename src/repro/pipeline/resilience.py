@@ -35,7 +35,12 @@ connection's flows never race each other.
 Worker functions never raise: :func:`run_guarded` wraps the analysis
 of one item, fires the fault-injection plan, and folds any escaping
 exception into a classified error payload.  The batch runner (pool or
-in-process) and the serve scheduler both build their workers from it.
+in-process) and the serve scheduler both build their workers from it,
+and every payload leaves a worker already encoded, as a
+:class:`~repro.pipeline.lines.PayloadLine`.  The session itself never
+looks inside a result; its own crash and timeout diagnoses go through
+the same encoder (:func:`error_line`), so every result has one
+shape.
 A fixed batch is just a session fed everything up front and then
 drained (:func:`repro.pipeline.run_batch`).
 """
@@ -47,10 +52,13 @@ import multiprocessing.connection
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.core.errors import AnalysisError, classify_exception
-from repro.harness.faults import FaultPlan
+from repro.pipeline.lines import PayloadLine, encode_payload
+
+if TYPE_CHECKING:
+    from repro.harness.faults import FaultPlan
 
 #: Seconds the supervisor blocks on the result queue before running a
 #: health check (liveness + timeouts) over the in-flight set.
@@ -75,9 +83,16 @@ def error_payload(item, error: AnalysisError,
     return payload
 
 
-def run_guarded(analyze: Callable[[object], list[dict]], index: int,
-                item, attempt: int,
-                fault_plan: FaultPlan | None = None) -> list[dict]:
+def error_line(item, error: AnalysisError,
+               attempts: int | None = None) -> PayloadLine:
+    """:func:`error_payload`, encoded."""
+    return encode_payload(error_payload(item, error, attempts))
+
+
+def run_guarded(analyze: Callable[[object], list[PayloadLine]],
+                index: int, item, attempt: int,
+                fault_plan: FaultPlan | None = None
+                ) -> list[PayloadLine]:
     """One unit of pool work: *analyze* the item; never raises.
 
     Fires the fault-injection plan (if any) first, then folds anything
@@ -96,7 +111,7 @@ def run_guarded(analyze: Callable[[object], list[dict]], index: int,
                 substituted = item.path   # corrupt fault's temp copy
         return analyze(item)
     except Exception as error:
-        return [error_payload(item, classify_exception(error))]
+        return [error_line(item, classify_exception(error))]
     finally:
         if substituted is not None:
             substituted.unlink(missing_ok=True)
@@ -175,7 +190,7 @@ class PoolSession:
     """
 
     def __init__(self, workers: int,
-                 worker_fn: Callable[[int, object, int], list[dict]],
+                 worker_fn: Callable[[int, object, int], list],
                  timeout: float | None = None,
                  retries: int = 2,
                  poll: float = POLL_INTERVAL):
@@ -236,7 +251,7 @@ class PoolSession:
         self._pump()
 
     def poll(self, timeout: float | None = None
-             ) -> list[tuple[int, list[dict], float]]:
+             ) -> list[tuple[int, list, float]]:
         """Collect finished work, blocking at most *timeout* seconds.
 
         Returns ``(index, payloads, elapsed)`` triples in completion
@@ -248,7 +263,7 @@ class PoolSession:
         if self._closed:
             raise ValueError("session is closed")
         self._pump()
-        results: list[tuple[int, list[dict], float]] = []
+        results: list[tuple[int, list, float]] = []
         wait = self._poll if timeout is None else timeout
         block = self._outstanding > 0 and wait > 0
         conns = [slot.worker.results for slot in self._slots
@@ -320,7 +335,7 @@ class PoolSession:
             backlog.extend(kept)
         return cancelled
 
-    def drain(self) -> Iterator[tuple[int, list[dict], float]]:
+    def drain(self) -> Iterator[tuple[int, list, float]]:
         """Yield results until nothing submitted remains unresolved."""
         while self._outstanding > 0:
             yield from self.poll()
@@ -409,7 +424,7 @@ class PoolSession:
             slot.worker.tasks.put(task)
             slot.inflight = (task, time.monotonic())
 
-    def _health_check(self) -> list[tuple[int, list[dict], float]]:
+    def _health_check(self) -> list[tuple[int, list, float]]:
         """Diagnose the in-flight set: crashes requeue, hangs die."""
         results = []
         now = time.monotonic()
@@ -455,8 +470,8 @@ class PoolSession:
                         f"worker died (exit code {exitcode}); "
                         f"gave up after {attempt + 1} attempt(s)")
                     results.append((index,
-                                    [error_payload(item, error,
-                                                   attempts=attempt + 1)],
+                                    [error_line(item, error,
+                                                attempts=attempt + 1)],
                                     now - started))
             else:       # alive but past the wall-clock budget
                 worker.process.kill()
@@ -469,7 +484,7 @@ class PoolSession:
                         "timeout",
                         f"analysis exceeded {self._timeout:g}s "
                         f"wall-clock timeout")
-                    results.append((index, [error_payload(item, error)],
+                    results.append((index, [error_line(item, error)],
                                     now - started))
             self._spawn(slot_no)
         self._pump()

@@ -17,23 +17,34 @@ warm-cache runs all produce byte-identical JSONL output.
 from __future__ import annotations
 
 import functools
+import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.core.errors import classify_exception, is_durable
 from repro.core.report import analyze_trace
-from repro.harness.corpus import WrittenCorpusEntry
-from repro.harness.faults import FaultPlan
 from repro.pipeline.cache import ResultCache, file_digest, trace_digest
 from repro.pipeline.journal import BatchJournal
-from repro.pipeline.resilience import PoolSession, error_payload, run_guarded
+from repro.pipeline.lines import (
+    PayloadLine,
+    encode_payload,
+    flows_document,
+    json_object,
+    parent_fields,
+)
+from repro.pipeline.resilience import PoolSession, error_line, run_guarded
 from repro.stream import build_flow_report, demux_records, flow_payload
 from repro.stream.reader import iter_pcap
 from repro.stream.stats import IngestStats
 from repro.tcp.catalog import CATALOG
 from repro.trace.pcap import read_pcap
 from repro.trace.record import Trace
+
+if TYPE_CHECKING:
+    from repro.harness.corpus import WrittenCorpusEntry
+    from repro.harness.faults import FaultPlan
 
 _TRACE_SIDES = ("sender", "receiver")
 
@@ -61,18 +72,32 @@ class BatchItem:
 
 @dataclass
 class TraceResult:
-    """One analyzed trace: its deterministic payload plus run metadata.
+    """One analyzed trace: its deterministic payload line plus run
+    metadata.
 
-    *payload* is what goes to JSONL and the cache; *cache_hit* and
-    *elapsed* describe this particular run and are deliberately kept
-    out of it.
+    *line* is the payload's canonical JSONL line, encoded once by the
+    worker that produced it, and *fields* the part of the payload the
+    parent reads (:func:`~repro.pipeline.lines.parent_fields`).
+    *cache_hit* and *elapsed* describe this particular run and are
+    deliberately kept out of the payload.
     """
 
     name: str
-    payload: dict
+    line: str
+    fields: dict
     cache_hit: bool = False
     elapsed: float = 0.0
     resumed: bool = False
+
+    @property
+    def payload(self) -> dict:
+        """The payload, parsed from :attr:`line` on every access: for
+        tests and tools, never read on a production path."""
+        return json.loads(self.line)
+
+
+def _result(entry: PayloadLine, **run) -> TraceResult:
+    return TraceResult(entry.trace, entry.line, entry.fields, **run)
 
 
 @dataclass
@@ -168,12 +193,12 @@ def analyze_item(item: BatchItem) -> dict:
     return payload
 
 
-def _eager_payloads(item: BatchItem) -> list[dict]:
-    return [analyze_item(item)]
+def _eager_lines(item: BatchItem) -> list[PayloadLine]:
+    return [encode_payload(analyze_item(item))]
 
 
-def analyze_item_stream(item: BatchItem) -> list[dict]:
-    """Streamed analysis: one payload per demultiplexed connection.
+def analyze_item_stream(item: BatchItem) -> list[PayloadLine]:
+    """Streamed analysis: one payload line per demultiplexed connection.
 
     The item's records (decoded incrementally from its capture, or
     taken from its in-memory trace) go through the flow table, and
@@ -185,27 +210,42 @@ def analyze_item_stream(item: BatchItem) -> list[dict]:
     other flows; a failure of the capture itself (unreadable, not a
     pcap) propagates to the worker guard, which quarantines the whole
     item.
+
+    Each flow is encoded as soon as its analysis finishes, member by
+    member, so no flow's report outlives its turn.  Two members are
+    known only once the capture is exhausted, the name (which depends
+    on the flow count) and the ``ingest`` block, and join the others
+    at the end (:func:`~repro.pipeline.lines.json_object`).
     """
     stats = IngestStats()
     records = item.trace.records if item.trace is not None \
         else iter_pcap(item.path, stats=stats)
-    flow_reports = [build_flow_report(flow, identify=True)
-                    for flow in demux_records(records, stats=stats)]
-    ingest = stats.to_dict()
-    if not flow_reports:
-        return [{"trace": item.name, "implementation": item.implementation,
-                 "error": "no connections demultiplexed",
-                 "error_kind": "decode",
-                 "ingest": ingest}]
-    payloads = []
-    for flow_report in flow_reports:
-        name = item.name if len(flow_reports) == 1 \
-            else f"{item.name}#{flow_report.name}"
-        payload = flow_payload(flow_report, name,
+    encoded = []
+    for flow in demux_records(records, stats=stats):
+        flow_report = build_flow_report(flow, identify=True)
+        # The name is a placeholder here: its member is replaced below.
+        payload = flow_payload(flow_report, "",
                                implementation=item.implementation)
-        payload["ingest"] = ingest
-        payloads.append(payload)
-    return payloads
+        members = {key: json.dumps(value, sort_keys=True)
+                   for key, value in payload.items()}
+        encoded.append((flow_report.name, members, parent_fields(payload)))
+    ingest = stats.to_dict()
+    if not encoded:
+        return [encode_payload({
+            "trace": item.name, "implementation": item.implementation,
+            "error": "no connections demultiplexed",
+            "error_kind": "decode", "ingest": ingest})]
+    ingest_text = json.dumps(ingest, sort_keys=True)
+    lines = []
+    for flow_name, members, fields in encoded:
+        name = item.name if len(encoded) == 1 \
+            else f"{item.name}#{flow_name}"
+        members["trace"] = json.dumps(name)
+        members["ingest"] = ingest_text
+        fields["trace"] = name
+        fields["ingest"] = ingest
+        lines.append(PayloadLine(json_object(members.items()), fields))
+    return lines
 
 
 def run_batch(items: list[BatchItem], jobs: int = 1,
@@ -253,8 +293,8 @@ def run_batch(items: list[BatchItem], jobs: int = 1,
         except OSError as error:
             # An unreadable corpus file must not abort the batch
             # before any analysis has even run.
-            results.append(TraceResult(
-                item.name, error_payload(item, classify_exception(error))))
+            results.append(_result(error_line(item,
+                                              classify_exception(error))))
             upfront_failures += 1
             continue
         if stream:
@@ -262,44 +302,46 @@ def run_batch(items: list[BatchItem], jobs: int = 1,
         digests[item.name] = digest
         cached = cache.get(digest) if cache is not None else None
         if cached is not None:
-            if stream:
-                for payload in cached.get("flows", []):
-                    results.append(TraceResult(payload["trace"], payload,
-                                               cache_hit=True))
-            else:
-                results.append(TraceResult(item.name, cached,
-                                           cache_hit=True))
+            # A cache hit is parsed and re-encoded here: rare by
+            # design, so it keeps one result shape.
+            payloads = cached.get("flows", []) if stream else [cached]
+            for payload in payloads:
+                results.append(_result(encode_payload(payload),
+                                       cache_hit=True))
             continue
         if journal is not None:
-            payloads = journal.lookup(item.name, digest)
-            if payloads is not None:
-                for payload in payloads:
-                    results.append(TraceResult(payload["trace"], payload,
-                                               resumed=True))
+            lines = journal.lookup(item.name, digest)
+            if lines is not None:
+                for entry in lines:
+                    results.append(_result(entry, resumed=True))
                 resumed += 1
                 continue
         pending.append(item)
 
-    def finish(index: int, payloads: list[dict], elapsed: float) -> None:
+    def finish(index: int, lines: list[PayloadLine],
+               elapsed: float) -> None:
+        # The workers encoded every payload: from here on the parent
+        # only moves their lines and reads their fields.
         item = pending[index]
+        digest = digests[item.name]
         # Journal first: the checkpoint must be durable before the
         # (best-effort) cache write can fail or be interrupted.
         if journal is not None:
-            journal.record(item.name, digests[item.name], payloads)
-        if cache is not None and is_durable(payloads):
-            cache.put(digests[item.name],
-                      {"flows": payloads} if stream else payloads[0])
-        for payload in payloads:
-            results.append(TraceResult(payload["trace"], payload,
-                                       cache_hit=False, elapsed=elapsed))
+            journal.record(item.name, digest, lines)
+        if cache is not None and is_durable(entry.fields
+                                            for entry in lines):
+            cache.put(digest, flows_document(lines) if stream
+                      else lines[0].line)
+        for entry in lines:
+            results.append(_result(entry, elapsed=elapsed))
 
-    analyze = analyze_item_stream if stream else _eager_payloads
+    analyze = analyze_item_stream if stream else _eager_lines
     worker = functools.partial(run_guarded, analyze, fault_plan=fault_plan)
     if jobs == 1 and timeout is None:
         for index, item in enumerate(pending):
             item_start = time.perf_counter()
-            payloads = worker(index, item, 0)
-            finish(index, payloads, time.perf_counter() - item_start)
+            lines = worker(index, item, 0)
+            finish(index, lines, time.perf_counter() - item_start)
     elif pending:
         session = PoolSession(min(jobs, len(pending)), worker,
                               timeout=timeout, retries=retries)
@@ -307,8 +349,8 @@ def run_batch(items: list[BatchItem], jobs: int = 1,
         try:
             for index, item in enumerate(pending):
                 session.submit(index, item)
-            for index, payloads, elapsed in session.drain():
-                finish(index, payloads, elapsed)
+            for index, lines, elapsed in session.drain():
+                finish(index, lines, elapsed)
             drained = True
         finally:
             # Graceful after a complete run; forcible when interrupted.

@@ -61,6 +61,7 @@ from pathlib import Path
 from repro.core.errors import classify_exception
 from repro.harness.faults import FaultPlan, ResourceFaultPlan
 from repro.pipeline.journal import BatchJournal
+from repro.pipeline.lines import PayloadLine, encode_payload
 from repro.pipeline.runner import true_implementation
 from repro.serve.governor import (
     DEFAULT_BREAKER_BACKOFF,
@@ -180,7 +181,7 @@ class ServeDaemon:
         self.metrics.sources_failed += 1
         payload = {"trace": tailer.source, "implementation": None}
         payload.update(classify_exception(tailer.failed).to_fields())
-        self._route([(tailer.source, [payload])])
+        self._route([(tailer.source, [encode_payload(payload)])])
         self.breakers.quarantine(tailer.source)
         if self._by_path.get(tailer.path) is tailer:
             del self._by_path[tailer.path]
@@ -232,17 +233,17 @@ class ServeDaemon:
                 self.metrics.journal_skips += len(replayed)
                 self._route(replayed)
 
-    def _route(self, results: list[tuple[str, list[dict]]]) -> None:
+    def _route(self, results: list[tuple[str, list[PayloadLine]]]
+               ) -> None:
         journal_only = self.governor.journal_only
-        for name, payloads in results:
+        for name, lines in results:
             source = name.split("#", 1)[0]
             if journal_only:
-                self._sink.park(source, payloads)
+                self._sink.park(source, lines)
             else:
-                self.metrics.sink_lines += self._sink.write(source,
-                                                            payloads)
-            for payload in payloads:
-                self.metrics.observe_payload(payload)
+                self.metrics.sink_lines += self._sink.write(source, lines)
+            for entry in lines:
+                self.metrics.observe_payload(entry.fields)
 
     def _cancel_source(self, source: str) -> None:
         """Withdraw a quarantined source's queued flows from the pool."""

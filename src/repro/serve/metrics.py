@@ -129,7 +129,8 @@ class ServeMetrics:
         self.retirements = RollingWindow(window, clock)
 
     def observe_payload(self, payload: dict) -> None:
-        """Account one finished per-flow payload."""
+        """Account one finished per-flow payload: its parent fields
+        (:func:`~repro.pipeline.lines.parent_fields`) suffice."""
         self.flows_completed += 1
         if "error_kind" in payload:
             self.flows_quarantined += 1

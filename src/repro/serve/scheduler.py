@@ -39,13 +39,18 @@ from __future__ import annotations
 import functools
 import zlib
 
+from typing import TYPE_CHECKING
+
 from repro.core.errors import AnalysisError, is_durable
-from repro.harness.faults import FaultPlan
 from repro.pipeline.cache import trace_digest
 from repro.pipeline.journal import BatchJournal
-from repro.pipeline.resilience import PoolSession, error_payload, run_guarded
+from repro.pipeline.lines import PayloadLine, encode_payload
+from repro.pipeline.resilience import PoolSession, error_line, run_guarded
 from repro.serve.governor import BreakerBoard
 from repro.stream import Flow, build_flow_report, flow_payload
+
+if TYPE_CHECKING:
+    from repro.harness.faults import FaultPlan
 
 #: Error kinds that count against a source's circuit breaker: the
 #: failure took a worker down with it (or held one hostage).
@@ -81,21 +86,23 @@ class FlowWorkItem:
 
 
 def analyze_flow_item(index: int, item: FlowWorkItem, attempt: int,
-                      fault_plan: FaultPlan | None = None) -> list[dict]:
+                      fault_plan: FaultPlan | None = None
+                      ) -> list[PayloadLine]:
     """Worker-side analysis of one flow; never raises.
 
     The payload is built by the same :func:`flow_payload` the batch
     runner uses — identical keys and values for an identical flow —
     except that no capture-wide ``ingest`` block is attached (the
-    capture is still growing when a live flow completes).
+    capture is still growing when a live flow completes).  It leaves
+    the worker encoded, as a :class:`PayloadLine`.
     """
-    return run_guarded(_flow_payloads, index, item, attempt, fault_plan)
+    return run_guarded(_flow_lines, index, item, attempt, fault_plan)
 
 
-def _flow_payloads(item: FlowWorkItem) -> list[dict]:
+def _flow_lines(item: FlowWorkItem) -> list[PayloadLine]:
     report = build_flow_report(item.flow, identify=True)
-    return [flow_payload(report, item.name,
-                         implementation=item.implementation)]
+    return [encode_payload(flow_payload(
+        report, item.name, implementation=item.implementation))]
 
 
 class FlowScheduler:
@@ -103,8 +110,8 @@ class FlowScheduler:
 
     ``submit`` returns any immediately available results (a journal
     replay); ``poll`` returns results as workers finish them, each
-    already recorded in the journal.  Results are
-    ``(name, payloads)`` pairs.
+    already recorded in the journal.  Results are ``(name, lines)``
+    pairs, *lines* a list of :class:`PayloadLine`.
     """
 
     def __init__(self, workers: int,
@@ -126,7 +133,7 @@ class FlowScheduler:
         self.journal_errors = 0
         #: Journal entries whose write failed (disk pressure), kept in
         #: memory until :meth:`flush_journal` lands them.
-        self._journal_pending: list[tuple[str, str, list[dict]]] = []
+        self._journal_pending: list[tuple[str, str, list[PayloadLine]]] = []
 
     @property
     def outstanding(self) -> int:
@@ -145,14 +152,14 @@ class FlowScheduler:
         return self.session.worker_restarts
 
     def submit(self, item: FlowWorkItem
-               ) -> list[tuple[str, list[dict]]]:
+               ) -> list[tuple[str, list[PayloadLine]]]:
         """Queue one flow; journaled flows come straight back."""
         digest = item.content_digest()
         if self.journal is not None:
-            payloads = self.journal.lookup(item.name, digest)
-            if payloads is not None:
+            lines = self.journal.lookup(item.name, digest)
+            if lines is not None:
                 self.replayed += 1
-                return [(item.name, payloads)]
+                return [(item.name, lines)]
         index = self._next_index
         self._next_index += 1
         self._submitted[index] = (item, digest)
@@ -160,7 +167,7 @@ class FlowScheduler:
         return []
 
     def poll(self, timeout: float | None = None
-             ) -> list[tuple[str, list[dict]]]:
+             ) -> list[tuple[str, list[PayloadLine]]]:
         """Collect finished flows; journal each before returning it.
 
         Each result is also accounted to its source's circuit breaker
@@ -169,35 +176,36 @@ class FlowScheduler:
         errors, which cost the pool nothing — is a success.
         """
         results = []
-        for index, payloads, _elapsed in self.session.poll(timeout):
+        for index, lines, _elapsed in self.session.poll(timeout):
             item, digest = self._submitted.pop(index)
+            fields = [entry.fields for entry in lines]
             if self.breakers is not None:
-                if _worker_fatal(payloads):
+                if _worker_fatal(fields):
                     self.breakers.record_failure(item.source)
                 else:
                     self.breakers.record_success(item.source)
-            if self.journal is not None and is_durable(payloads):
-                self._record(item.name, digest, payloads)
-            results.append((item.name, payloads))
+            if self.journal is not None and is_durable(fields):
+                self._record(item.name, digest, lines)
+            results.append((item.name, lines))
         return results
 
     def _record(self, name: str, digest: str,
-                payloads: list[dict]) -> None:
+                lines: list[PayloadLine]) -> None:
         """Journal one entry; park it in memory when the disk won't."""
         try:
-            self.journal.record(name, digest, payloads)
+            self.journal.record(name, digest, lines)
         except OSError:
             self.journal_errors += 1
-            self._journal_pending.append((name, digest, payloads))
+            self._journal_pending.append((name, digest, lines))
 
     def flush_journal(self) -> int:
         """Retry journal entries parked by disk failure; return the
         number that landed."""
         written = 0
         while self._journal_pending:
-            name, digest, payloads = self._journal_pending[0]
+            name, digest, lines = self._journal_pending[0]
             try:
-                self.journal.record(name, digest, payloads)
+                self.journal.record(name, digest, lines)
             except OSError:
                 self.journal_errors += 1
                 break
@@ -210,7 +218,7 @@ class FlowScheduler:
         return len(self._journal_pending)
 
     def cancel_source(self, source: str
-                      ) -> list[tuple[str, list[dict]]]:
+                      ) -> list[tuple[str, list[PayloadLine]]]:
         """Withdraw a quarantined source's queued flows from the pool.
 
         In-flight flows finish under normal supervision; queued ones
@@ -228,10 +236,10 @@ class FlowScheduler:
                 "cancelled",
                 f"source {source} circuit-breaker quarantined; flow "
                 f"withdrawn before analysis")
-            results.append((item.name, [error_payload(item, error)]))
+            results.append((item.name, [error_line(item, error)]))
         return results
 
-    def drain(self) -> list[tuple[str, list[dict]]]:
+    def drain(self) -> list[tuple[str, list[PayloadLine]]]:
         """Finish everything in flight/queued (graceful shutdown)."""
         results = []
         while self.session.outstanding > 0:
@@ -242,6 +250,6 @@ class FlowScheduler:
         self.session.close(graceful=graceful)
 
 
-def _worker_fatal(payloads: list[dict]) -> bool:
-    return any(payload.get("error_kind") in WORKER_FATAL_KINDS
-               for payload in payloads)
+def _worker_fatal(fields: list[dict]) -> bool:
+    return any(entry.get("error_kind") in WORKER_FATAL_KINDS
+               for entry in fields)

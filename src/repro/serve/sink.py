@@ -2,7 +2,9 @@
 
 One ``{source}.jsonl`` file per capture source, one key-sorted JSON
 object per flow — the same line format ``write_jsonl`` produces for a
-batch run, so downstream tooling reads either interchangeably.
+batch run, so downstream tooling reads either interchangeably.  The
+sink takes :class:`~repro.pipeline.lines.PayloadLine` results and
+writes each worker-encoded line as it is.
 
 Restart safety is the whole design: the daemon journals a flow before
 sinking it, so a crash between the two can leave a journaled flow
@@ -38,6 +40,8 @@ import os
 from pathlib import Path
 from typing import IO, Callable
 
+from repro.pipeline.lines import PayloadLine
+
 
 class JsonlSink:
     """Per-source append-only JSONL files with cross-restart dedupe."""
@@ -54,7 +58,7 @@ class JsonlSink:
         self._seen: set[str] = set()
         #: Payloads whose append failed, in arrival order, awaiting
         #: a successful retry (each is already in the journal).
-        self._parked: list[tuple[str, dict]] = []
+        self._parked: list[tuple[str, PayloadLine]] = []
         #: Sources whose file may end in a torn partial line (an
         #: append died mid-write); repaired before the next append.
         self._dirty: set[str] = set()
@@ -99,37 +103,35 @@ class JsonlSink:
     def parked(self) -> int:
         return len(self._parked)
 
-    def write(self, source: str, payloads: list[dict]) -> int:
-        """Append payloads not yet present; return lines written.
+    def write(self, source: str, lines: list[PayloadLine]) -> int:
+        """Append payload lines not yet present; return lines written.
 
         Never raises for disk trouble: a failed append parks the
         payload (and every payload behind it, preserving order) and
         the sink reports itself degraded instead.
         """
         written = 0
-        for payload in payloads:
-            name = payload.get("trace")
-            if isinstance(name, str) and name in self._seen:
+        for entry in lines:
+            if _name(entry) in self._seen:
                 continue
             if self._parked:
                 # Order within the sink is preserved: nothing may
                 # overtake a parked payload of an earlier failure.
-                self._parked.append((source, payload))
+                self._parked.append((source, entry))
                 continue
-            if self._append(source, payload):
+            if self._append(source, entry):
                 written += 1
         return written
 
-    def park(self, source: str, payloads: list[dict]) -> int:
+    def park(self, source: str, lines: list[PayloadLine]) -> int:
         """Hold payloads for later (journal-only mode); dedupes now."""
         parked = 0
-        for payload in payloads:
-            name = payload.get("trace")
-            if isinstance(name, str) and name in self._seen:
+        for entry in lines:
+            if _name(entry) in self._seen:
                 continue
-            if any(entry is payload for _s, entry in self._parked):
+            if any(held is entry for _s, held in self._parked):
                 continue
-            self._parked.append((source, payload))
+            self._parked.append((source, entry))
             parked += 1
         return parked
 
@@ -142,18 +144,17 @@ class JsonlSink:
         """
         written = 0
         while self._parked:
-            source, payload = self._parked[0]
-            name = payload.get("trace")
-            if isinstance(name, str) and name in self._seen:
+            source, entry = self._parked[0]
+            if _name(entry) in self._seen:
                 self._parked.pop(0)
                 continue
-            if not self._append(source, payload, parked=True):
+            if not self._append(source, entry, parked=True):
                 break
             self._parked.pop(0)
             written += 1
         return written
 
-    def _append(self, source: str, payload: dict,
+    def _append(self, source: str, entry: PayloadLine,
                 parked: bool = False) -> bool:
         """One durable line; on OSError park (unless retrying) and
         report failure."""
@@ -166,7 +167,7 @@ class JsonlSink:
             if handle is None:
                 handle = open(self.path_for(source), "a")
                 self._handles[source] = handle
-            handle.write(json.dumps(payload, sort_keys=True) + "\n")
+            handle.write(entry.line + "\n")
             handle.flush()
             if self.fsync:
                 os.fsync(handle.fileno())
@@ -184,11 +185,11 @@ class JsonlSink:
                 except OSError:
                     pass
             if not parked:
-                self._parked.append((source, payload))
+                self._parked.append((source, entry))
             return False
         self.failing = False
-        name = payload.get("trace")
-        if isinstance(name, str):
+        name = _name(entry)
+        if name is not None:
             self._seen.add(name)       # only once durably on disk
         return True
 
@@ -227,3 +228,9 @@ class JsonlSink:
             except OSError:
                 pass
         self._handles.clear()
+
+
+def _name(entry: PayloadLine) -> str | None:
+    """The trace name dedupe keys on (None: not deduplicated)."""
+    name = entry.fields.get("trace")
+    return name if isinstance(name, str) else None

@@ -8,7 +8,6 @@ implementations of Table 1 plus the §10 additions.
 
 from repro.tcp.params import TCPBehavior
 from repro.tcp.catalog import CATALOG, get_behavior, implementation_names
-from repro.tcp.connection import BulkSender, BulkReceiver, run_bulk_transfer
 
 __all__ = [
     "TCPBehavior",
@@ -19,3 +18,12 @@ __all__ = [
     "BulkReceiver",
     "run_bulk_transfer",
 ]
+
+
+def __getattr__(name: str):
+    # The simulated stacks load on first use (PEP 562): analysis-only
+    # commands import the catalog without the network simulator.
+    if name in ("BulkSender", "BulkReceiver", "run_bulk_transfer"):
+        from repro.tcp import connection
+        return getattr(connection, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,6 +23,9 @@ from dataclasses import dataclass
 #: also the value the Net/3 uninitialized-cwnd bug leaves in place.
 HUGE_WINDOW = 2**30
 
+#: Upper bound on cwnd growth (TCP_MAXWIN without window scaling).
+MAX_WINDOW = 65535
+
 
 class Lineage(enum.Enum):
     """Where an implementation's TCP code came from (Table 1)."""

@@ -26,15 +26,12 @@ from repro.packets import (
     SourceQuench,
 )
 from repro.tcp import params as P
-from repro.tcp.params import QuenchResponse, TCPBehavior
+from repro.tcp.params import MAX_WINDOW, QuenchResponse, TCPBehavior
 from repro.tcp.timers import make_estimator
 from repro.units import seq_add, seq_diff, seq_ge, seq_gt, seq_le, seq_lt
 
 #: Default MSS assumed when the peer's SYN-ack carries no MSS option.
 DEFAULT_PEER_MSS = 536
-
-#: Upper bound on cwnd growth (TCP_MAXWIN without window scaling).
-MAX_WINDOW = 65535
 
 #: How many times to retry the initial SYN before giving up.
 MAX_SYN_RETRIES = 6

@@ -791,7 +791,8 @@ class TestReplayRuleAudit:
                                                 "_quench_inference"))
             if isinstance(node, ast.Call)
             and getattr(node.func, "id", None) == "max")
-        assert ast.literal_eval(lull_test.args[0]) == LULL_S
+        assert ast.unparse(lull_test.args[0]) == "LULL_S"
+        assert LULL_S is analyzer.LULL_S == 0.05
         floor = next(
             node for node in ast.walk(_function(analyzer, "_replay"))
             if isinstance(node, ast.Assign)
@@ -799,6 +800,93 @@ class TestReplayRuleAudit:
         assert ast.unparse(floor.value) == "max(1, n_rows // 50)"
         assert "max(1, len(pass_one.data_rows) // 50)" in inspect.getsource(
             IdentificationEngine.identify_sender)
+
+
+class TestLullGuard:
+    """Replays that never reach a lull step share under their lull-free
+    keys (``IdentificationEngine.identify_sender``); the proof rests on
+    the read sites audited here."""
+
+    def test_quench_inference_has_one_call_site_behind_the_flag(self):
+        calls = [site for name, site in _scan().calls
+                 if name == "_quench_inference"]
+        assert calls == ["analyzer._replay"]
+        guards = [node for node in ast.walk(_function(analyzer, "_replay"))
+                  if isinstance(node, ast.If)
+                  and any(isinstance(call, ast.Call)
+                          and getattr(call.func, "id", None)
+                          == "_quench_inference"
+                          for call in ast.walk(node))]
+        guard = guards[-1]      # the innermost enclosing test
+        assert ast.unparse(guard.test) == \
+            "time - state.last_send_time >= LULL_S"
+        first = guard.body[0]
+        assert ast.unparse(first) == "analysis.lull_reached = True"
+
+    def test_apply_quench_is_called_only_from_quench_inference(self):
+        assert [site for name, site in _scan().calls
+                if name == "apply_quench"] == ["analyzer._quench_inference"]
+
+    def test_srtt_is_read_only_by_quench_inference(self):
+        sites = []
+        for module, tree in _source_tree().items():
+            if not module.startswith("core."):
+                continue
+            visitor = _AttributeLoads(module, "srtt")
+            visitor.visit(tree)
+            sites += [site for _, site in visitor.reads]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Constant) and node.value == "srtt":
+                    sites.append("string")
+        assert sites == ["string"]
+        assert '"srtt"' in inspect.getsource(analyzer._quench_inference)
+
+    def test_gap_without_an_overdue_send_shares_lull_free_keys(
+            self, monkeypatch):
+        # Every flight of a clean WAN transfer waits a round trip, so
+        # the trace has lulls, but no send is ever overdue: no replay
+        # reaches a lull step, and classes that differ only in their
+        # quench response or (without retransmissions) RTO style share.
+        trace = cached_transfer("reno", "wan", data_size=24576).sender_trace
+        pass_one = extract_pass_one(trace)
+        conditions = replay_conditions(pass_one)
+        assert conditions.lull and not conditions.retransmits
+        engine = IdentificationEngine()
+        replayed = []
+        real = engine_module.analyze_sender
+
+        def counting(*args, **kwargs):
+            analysis = real(*args, **kwargs)
+            replayed.append(analysis)
+            return analysis
+
+        monkeypatch.setattr(engine_module, "analyze_sender", counting)
+        shared = engine.identify_sender(pass_one=pass_one)
+        assert not any(analysis.lull_reached for analysis in replayed)
+        groups = [group[0] for group in engine._sender_groups]
+        full = {replay_key(engine.candidates[name], conditions)
+                for name in groups}
+        quiet = {replay_key(engine.candidates[name],
+                            conditions._replace(lull=False))
+                 for name in groups}
+        assert len(replayed) == len(quiet) < len(full)
+        oracle = IdentificationEngine(
+            share_replays=False).identify_sender(pass_one=pass_one)
+        assert _snapshot(shared) == _snapshot(oracle)
+
+    def test_a_replay_that_reaches_a_lull_is_not_shared_quietly(self):
+        # The quench fixture commits a quench trial: its replays reach a
+        # lull step, and every fit still matches the per-class oracle.
+        trace = parse_trace(QUENCH_FIXTURE.read_text(), vantage="sender")
+        pass_one = extract_pass_one(trace)
+        analysis = analyzer.analyze_sender(None, get_behavior("reno"),
+                                           pass_one=pass_one)
+        assert analysis.lull_reached
+        shared = IdentificationEngine(VARIANTS).identify_sender(
+            pass_one=pass_one)
+        oracle = IdentificationEngine(
+            VARIANTS, share_replays=False).identify_sender(pass_one=pass_one)
+        assert _snapshot(shared) == _snapshot(oracle)
 
 
 class _AttributeLoads(_Sites):

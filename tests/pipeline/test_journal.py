@@ -7,6 +7,7 @@ import pytest
 from repro.harness.corpus import write_corpus
 from repro.pipeline import BatchJournal, corpus_items, run_batch, write_jsonl
 from repro.pipeline.cache import ANALYSIS_SCHEMA_VERSION
+from repro.pipeline.lines import encode_payload
 
 
 @pytest.fixture(scope="module")
@@ -25,19 +26,32 @@ def clean_jsonl(corpus_dir, tmp_path_factory):
     return path
 
 
+def _lines(name: str) -> list:
+    return [encode_payload({"trace": name})]
+
+
 class TestJournalMechanics:
     def test_records_and_looks_up(self, tmp_path):
         journal = BatchJournal(tmp_path / "j.jsonl")
-        journal.record("a.pcap", "digest-a", [{"trace": "a.pcap"}])
+        journal.record("a.pcap", "digest-a", _lines("a.pcap"))
         journal.close()
         resumed = BatchJournal(tmp_path / "j.jsonl", resume=True)
         assert len(resumed) == 1
-        assert resumed.lookup("a.pcap", "digest-a") == [{"trace": "a.pcap"}]
+        assert resumed.lookup("a.pcap", "digest-a") == _lines("a.pcap")
         resumed.close()
+
+    def test_recorded_entries_are_written_not_kept(self, tmp_path):
+        # A run never looks up what it recorded itself; a daemon's
+        # memory must not grow with every journaled flow.
+        journal = BatchJournal(tmp_path / "j.jsonl")
+        journal.record("a.pcap", "digest-a", _lines("a.pcap"))
+        assert len(journal) == 0
+        assert journal.lookup("a.pcap", "digest-a") is None
+        journal.close()
 
     def test_digest_mismatch_is_a_miss(self, tmp_path):
         journal = BatchJournal(tmp_path / "j.jsonl")
-        journal.record("a.pcap", "digest-a", [{"trace": "a.pcap"}])
+        journal.record("a.pcap", "digest-a", _lines("a.pcap"))
         journal.close()
         resumed = BatchJournal(tmp_path / "j.jsonl", resume=True)
         assert resumed.lookup("a.pcap", "digest-CHANGED") is None
@@ -45,7 +59,7 @@ class TestJournalMechanics:
 
     def test_without_resume_truncates(self, tmp_path):
         journal = BatchJournal(tmp_path / "j.jsonl")
-        journal.record("a.pcap", "digest-a", [{"trace": "a.pcap"}])
+        journal.record("a.pcap", "digest-a", _lines("a.pcap"))
         journal.close()
         fresh = BatchJournal(tmp_path / "j.jsonl", resume=False)
         assert len(fresh) == 0
@@ -55,8 +69,8 @@ class TestJournalMechanics:
     def test_torn_trailing_line_is_dropped(self, tmp_path):
         path = tmp_path / "j.jsonl"
         journal = BatchJournal(path)
-        journal.record("a.pcap", "digest-a", [{"trace": "a.pcap"}])
-        journal.record("b.pcap", "digest-b", [{"trace": "b.pcap"}])
+        journal.record("a.pcap", "digest-a", _lines("a.pcap"))
+        journal.record("b.pcap", "digest-b", _lines("b.pcap"))
         journal.close()
         # Simulate a crash mid-write: cut the final record in half.
         text = path.read_text()
@@ -82,7 +96,7 @@ class TestJournalMechanics:
     def test_stream_and_eager_journals_do_not_mix(self, tmp_path):
         path = tmp_path / "j.jsonl"
         journal = BatchJournal(path, stream=False)
-        journal.record("a.pcap", "digest-a", [{"trace": "a.pcap"}])
+        journal.record("a.pcap", "digest-a", _lines("a.pcap"))
         journal.close()
         resumed = BatchJournal(path, stream=True, resume=True)
         assert len(resumed) == 0

@@ -2,12 +2,18 @@
 
 import json
 
+from repro.pipeline.lines import encode_payload
 from repro.pipeline.report import aggregate_report, write_jsonl
 from repro.pipeline.runner import BatchResult, TraceResult
 
 
+def _result(payload):
+    entry = encode_payload(payload)
+    return TraceResult(entry.trace, entry.line, entry.fields)
+
+
 def _sender(name, truth, best, category="close", clean=True):
-    return TraceResult(name, {
+    return _result({
         "trace": name, "implementation": truth, "records": 10,
         "vantage": "sender",
         "calibration": {"clean": clean, "drop_evidence": 0 if clean else 2,
@@ -19,7 +25,7 @@ def _sender(name, truth, best, category="close", clean=True):
 
 
 def _receiver(name, truth, close):
-    return TraceResult(name, {
+    return _result({
         "trace": name, "implementation": truth, "records": 10,
         "vantage": "receiver",
         "calibration": {"clean": True, "drop_evidence": 0, "duplicates": 0,

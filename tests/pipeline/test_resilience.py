@@ -1,5 +1,6 @@
 """Supervised pool: crash recovery, timeouts, classified quarantine."""
 
+import json
 import os
 from dataclasses import dataclass
 
@@ -246,10 +247,11 @@ class TestPoolSession:
         session.submit(0, Job(name="defect"))
         results = list(session.drain())
         session.close()
-        (index, payloads, _elapsed), = results
+        (index, lines, _elapsed), = results
         assert index == 0
-        assert payloads[0]["error_kind"] == "crash"
-        assert payloads[0]["attempts"] == 2
+        # The session's own diagnosis leaves encoded, like a worker's.
+        assert lines[0].fields["error_kind"] == "crash"
+        assert json.loads(lines[0].line)["attempts"] == 2
 
     def test_queue_accounting(self):
         session = PoolSession(1, _echo_worker)

@@ -1,5 +1,7 @@
 """Flow dispatch: sharding, journal-first durability, replay on restart."""
 
+import json
+
 import pytest
 
 from repro.harness.faults import FaultPlan, FaultSpec
@@ -44,10 +46,10 @@ class TestFlowWorkItem:
 class TestAnalyzeFlowItem:
     def test_payload_matches_batch_shape_minus_ingest(self, reno_flow):
         item = FlowWorkItem("cap.pcap", reno_flow, implementation="reno")
-        payloads = analyze_flow_item(0, item, 0)
-        assert len(payloads) == 1
-        payload = payloads[0]
-        assert payload["trace"] == "cap.pcap#flow-0000"
+        lines = analyze_flow_item(0, item, 0)
+        assert len(lines) == 1
+        payload = json.loads(lines[0].line)
+        assert lines[0].trace == payload["trace"] == "cap.pcap#flow-0000"
         assert payload["implementation"] == "reno"
         assert "identification" in payload
         assert "ingest" not in payload    # the capture is still growing
@@ -56,8 +58,8 @@ class TestAnalyzeFlowItem:
         item = FlowWorkItem("cap.pcap", reno_flow)
         plan = FaultPlan((FaultSpec(match=item.name, kind="raise",
                                     exception="OSError"),))
-        payloads = analyze_flow_item(0, item, 0, fault_plan=plan)
-        assert payloads[0]["error_kind"] == "io"
+        lines = analyze_flow_item(0, item, 0, fault_plan=plan)
+        assert lines[0].fields["error_kind"] == "io"
 
 
 class TestFlowScheduler:
@@ -94,7 +96,7 @@ class TestFlowScheduler:
         results = scheduler.drain()
         scheduler.close()
         journal.close()
-        assert results[0][1][0]["error_kind"] == "io"
+        assert results[0][1][0].fields["error_kind"] == "io"
 
         # Restart: the io quarantine was transient, so no replay —
         # the flow is analyzed again (and succeeds without the fault).
@@ -105,7 +107,7 @@ class TestFlowScheduler:
         retried.close()
         journal.close()
         assert retried.replayed == 0
-        assert "error_kind" not in fresh[0][1][0]
+        assert "error_kind" not in fresh[0][1][0].fields
 
     def test_outstanding_and_queue_accounting(self, reno_flow, tmp_path):
         scheduler = FlowScheduler(1)
@@ -144,9 +146,9 @@ class TestSchedulerGovernance:
         scheduler.submit(FlowWorkItem("good.pcap", reno_flow))
         cancelled = scheduler.cancel_source("bad.pcap")
         assert scheduler.cancelled == len(cancelled)
-        for name, payloads in cancelled:
+        for name, lines in cancelled:
             assert name.startswith("bad.pcap#")
-            assert payloads[0]["error_kind"] == "cancelled"
+            assert lines[0].fields["error_kind"] == "cancelled"
         results = scheduler.drain()
         scheduler.close()
         names = [name for name, _ in results]

@@ -4,11 +4,13 @@ import errno
 import json
 import os
 
+from repro.pipeline.lines import PayloadLine, encode_payload
 from repro.serve import JsonlSink
 
 
-def payload(name: str, **extra) -> dict:
-    return {"trace": name, "implementation": "reno", **extra}
+def payload(name: str, **extra) -> PayloadLine:
+    return encode_payload({"trace": name, "implementation": "reno",
+                           **extra})
 
 
 class TestJsonlSink:

@@ -335,6 +335,20 @@ class TestStartup:
                                 capture_output=True, text=True, check=True)
         assert loaded.stdout.split() == []
 
+    def test_batch_path_loads_no_simulator(self):
+        """The CLI, its parser and the batch and stream pipelines
+        analyze traces without the network simulator behind them."""
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        probe = ("import sys, repro.cli; repro.cli.build_parser(); "
+                 "import repro.pipeline, repro.stream; "
+                 "print(*sorted(m for m in sys.modules if m.startswith(("
+                 "'repro.netsim', 'repro.capture', 'repro.tcp.connection', "
+                 "'repro.harness.probing'))))")
+        loaded = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert loaded.stdout.split() == []
+
 
 class TestErrorPaths:
     def test_analyze_missing_file_exits_2(self, tmp_path, capsys):
