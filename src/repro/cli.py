@@ -21,7 +21,8 @@ Subcommands:
 ``corpus OUTDIR [--per-implementation N] [--analyze]``
     Generate a trace corpus (pcap pairs per implementation), the
     synthetic analogue of the paper's Table 1 data set; with
-    ``--analyze``, feed it straight into the batch pipeline.
+    ``--analyze``, run ``batch`` over the written directory (same
+    results, same cache entries).
 
 ``batch CORPUS_DIR [--jobs N] [--cache DIR] [--jsonl OUT] [--stream]
 [--timeout S] [--retries N] [--journal PATH] [--resume]``
@@ -352,8 +353,8 @@ def _command_corpus(args: argparse.Namespace) -> int:
     print(f"wrote {len(written)} trace pairs to {args.outdir}")
     if not args.analyze:
         return 0
-    from repro.pipeline import memory_items
-    return _batch_run(memory_items(written), args)
+    from repro.pipeline import corpus_items
+    return _batch_run(corpus_items(args.outdir), args)
 
 
 def _command_fuzz(args: argparse.Namespace) -> int:
@@ -468,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated labels (default: the "
                         "Table 1 core study set)")
     corpus.add_argument("--analyze", action="store_true",
-                        help="feed the generated corpus straight into "
-                        "the batch pipeline")
+                        help="batch-analyze the written directory, as "
+                        "`tcpanaly batch` would (no journal)")
     corpus.add_argument("--jobs", type=int, default=1,
                         help="worker processes for --analyze")
     corpus.add_argument("--cache", default=None,

@@ -30,13 +30,9 @@ import struct
 from dataclasses import dataclass, replace
 
 from repro.packets import ACK, RST
+from repro.trace.pcap import pcap_chunks
 from repro.trace.record import Trace, TraceRecord
 from repro.units import SEQ_SPACE, seq_add
-
-#: pcap constants, duplicated knowingly: the fuzzer must be able to
-#: write containers the production writer would refuse.
-_PCAP_MAGIC = 0xA1B2C3D4
-_LINKTYPE_RAW = 101
 
 
 @dataclass
@@ -56,21 +52,9 @@ class Frame:
 
 def render_pcap(frames: list[Frame]) -> bytes:
     """Render frames as classic big-endian pcap bytes, lies included."""
-    out = [struct.pack(">IHHiIII", _PCAP_MAGIC, 2, 4, 0, 0, 65535,
-                       _LINKTYPE_RAW)]
-    for frame in frames:
-        declared = frame.declared_len if frame.declared_len is not None \
-            else len(frame.data)
-        orig = frame.orig_len if frame.orig_len is not None \
-            else max(declared, len(frame.data))
-        seconds = int(frame.timestamp)
-        micros = int(round((frame.timestamp - seconds) * 1e6))
-        if micros >= 1_000_000:
-            seconds += 1
-            micros -= 1_000_000
-        out.append(struct.pack(">IIII", seconds, micros, declared, orig))
-        out.append(frame.data)
-    return b"".join(out)
+    return b"".join(pcap_chunks(
+        (frame.timestamp, frame.data, frame.orig_len, frame.declared_len)
+        for frame in frames))
 
 
 def _tcp_bounds(data: bytes) -> tuple[int, int] | None:
@@ -423,17 +407,3 @@ def tear_tail(frames: list[Frame], rng: random.Random,
 FILE_MANGLERS = {
     "tear-tail": tear_tail,
 }
-
-
-# Convenience used by tests and regression traces: make the exact
-# wire bytes of the satellite bugs reproducible without a full plan.
-def truncated_mss_packet(base_packet: bytes) -> bytes:
-    """A copy of *base_packet* whose MSS option overruns the header."""
-    mangled = truncate_mss_frames([Frame(0.0, base_packet)],
-                                  random.Random(0), 1.0)
-    return mangled[0].data
-
-
-def padded_packet(base_packet: bytes, pad: int = 6) -> bytes:
-    """A copy of *base_packet* with link-layer trailer padding."""
-    return base_packet + b"\x00" * pad

@@ -74,7 +74,6 @@ class WrittenCorpusEntry:
     index: int
     sender_path: Path
     receiver_path: Path
-    transfer: TracedTransfer
 
     @property
     def stem(self) -> str:
@@ -92,7 +91,9 @@ def write_corpus(outdir: str | Path,
     Files are numbered per implementation —
     ``{label}-{index:04d}-{sender,receiver}.pcap`` with *index*
     starting at 0 for each label — so the layout is predictable from
-    the generation parameters alone.
+    the generation parameters alone.  Each transfer is released once
+    its two pcaps are on disk, so memory does not grow with the
+    corpus.
     """
     from repro.trace.pcap import write_pcap
 
@@ -113,8 +114,7 @@ def write_corpus(outdir: str | Path,
         write_pcap(entry.receiver_trace, receiver_path)
         written.append(WrittenCorpusEntry(
             implementation=entry.implementation, index=index,
-            sender_path=sender_path, receiver_path=receiver_path,
-            transfer=entry.transfer))
+            sender_path=sender_path, receiver_path=receiver_path))
     return written
 
 

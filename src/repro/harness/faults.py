@@ -226,20 +226,17 @@ def decode_storm_bytes(records: int = 64, seed: int = 0) -> bytes:
     storm source for chaos tests: not quarantinable as "not a pcap",
     yet never yields a flow.
     """
-    from repro.trace.pcap import LINKTYPE_RAW, PCAP_MAGIC
-    blob = bytearray(struct.pack("<IHHiIII", PCAP_MAGIC, 2, 4, 0, 0,
-                                 65535, LINKTYPE_RAW))
+    from repro.trace.pcap import pcap_chunks
     state = (seed * 2654435761 + 1) & 0xFFFFFFFF
+    frames = []
     for index in range(records):
         payload = bytearray()
         for _ in range(40):
             state = (state * 1103515245 + 12345) & 0xFFFFFFFF
             payload.append(state >> 24)
         payload[0] = 0x00       # IP version nibble 0: never decodes
-        blob += struct.pack("<IIII", index, 0, len(payload),
-                            len(payload))
-        blob += payload
-    return bytes(blob)
+        frames.append((index, bytes(payload), None, None))
+    return b"".join(pcap_chunks(frames, byte_order="little"))
 
 
 def _corrupted_copy(path, offset: int, garbage: bytes):

@@ -30,7 +30,6 @@ from repro.pipeline.runner import (
     analyze_item,
     analyze_item_stream,
     corpus_items,
-    memory_items,
     run_batch,
     true_implementation,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "encode_payload",
     "error_payload",
     "file_digest",
-    "memory_items",
     "result_line",
     "run_batch",
     "trace_digest",

@@ -40,11 +40,12 @@ def file_digest(path: str | Path) -> str:
 
 
 def trace_digest(trace: Trace) -> str:
-    """Content digest of an in-memory trace.
+    """Content digest of an in-memory trace: serve's key for a
+    retired flow.
 
     Hashes every record field the analyzers consume, so two traces
-    with identical packets share a digest regardless of how they were
-    produced (generated in memory or round-tripped through pcap).
+    with identical records share a digest.  Batch keys its pcap
+    files by :func:`file_digest` instead.
     """
     digest = hashlib.sha256()
     digest.update(trace.vantage.encode())

@@ -3,10 +3,13 @@
 The paper's result is statistical — tcpanaly ran over ~20,000
 sender-side and ~20,000 receiver-side traces (Table 1).  This module
 is the scale substrate: it takes a corpus (a directory of pcap files,
-or in-memory generated transfers), runs the full per-trace pipeline
-(calibration plus sender- or receiver-side identification) on every
-element, and does so across ``--jobs`` worker processes with an
-optional on-disk result cache.
+as the paper's packet-filter output was), runs the full per-trace
+pipeline (calibration plus sender- or receiver-side identification)
+on every file, and does so across ``--jobs`` worker processes with an
+optional on-disk result cache.  Capture bytes are the only input:
+``tcpanaly corpus --analyze`` runs this over the directory it just
+wrote, so its results and cache entries are those of
+``tcpanaly batch`` on that directory.
 
 Determinism contract: each trace's payload depends only on the trace
 content and the implementation catalog.  Results are returned sorted
@@ -25,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.errors import classify_exception, is_durable
 from repro.core.report import analyze_trace
-from repro.pipeline.cache import ResultCache, file_digest, trace_digest
+from repro.pipeline.cache import ResultCache, file_digest
 from repro.pipeline.journal import BatchJournal
 from repro.pipeline.lines import (
     PayloadLine,
@@ -40,10 +43,8 @@ from repro.stream.reader import iter_pcap
 from repro.stream.stats import IngestStats
 from repro.tcp.catalog import CATALOG
 from repro.trace.pcap import read_pcap
-from repro.trace.record import Trace
 
 if TYPE_CHECKING:
-    from repro.harness.corpus import WrittenCorpusEntry
     from repro.harness.faults import FaultPlan
 
 _TRACE_SIDES = ("sender", "receiver")
@@ -51,23 +52,18 @@ _TRACE_SIDES = ("sender", "receiver")
 
 @dataclass
 class BatchItem:
-    """One unit of batch work: a trace plus its provenance.
+    """One unit of batch work: a pcap file plus its provenance.
 
-    Exactly one of *path* (a pcap file) or *trace* (an in-memory
-    trace) must be set.  *implementation* is the ground-truth label
-    when known (from the corpus filename or the generator), enabling
-    the aggregate confusion matrix.
+    *implementation* is the ground-truth label when known (from the
+    corpus filename), enabling the aggregate confusion matrix.
     """
 
     name: str
-    path: Path | None = None
-    trace: Trace | None = None
+    path: Path
     implementation: str | None = None
 
     def content_digest(self) -> str:
-        if self.path is not None:
-            return file_digest(self.path)
-        return trace_digest(self.trace)
+        return file_digest(self.path)
 
 
 @dataclass
@@ -156,24 +152,6 @@ def corpus_items(corpus_dir: str | Path) -> list[BatchItem]:
     return items
 
 
-def memory_items(entries: list[WrittenCorpusEntry]) -> list[BatchItem]:
-    """Batch items for freshly generated corpus entries.
-
-    Uses the in-memory traces directly — ``tcpanaly corpus --analyze``
-    feeds the pipeline without re-reading the pcaps it just wrote.
-    """
-    items = []
-    for entry in entries:
-        items.append(BatchItem(name=entry.sender_path.name,
-                               trace=entry.transfer.sender_trace,
-                               implementation=entry.implementation))
-        items.append(BatchItem(name=entry.receiver_path.name,
-                               trace=entry.transfer.receiver_trace,
-                               implementation=entry.implementation))
-    items.sort(key=lambda item: item.name)
-    return items
-
-
 def analyze_item(item: BatchItem) -> dict:
     """Eager analysis: the whole trace in memory, one payload.
 
@@ -182,7 +160,7 @@ def analyze_item(item: BatchItem) -> dict:
     classified error payload (``error_kind``: decode/io/model), so a
     damaged trace never aborts a corpus-scale run.
     """
-    trace = item.trace if item.trace is not None else read_pcap(item.path)
+    trace = read_pcap(item.path)
     report = analyze_trace(trace, identify=True)
     payload = {
         "trace": item.name,
@@ -200,16 +178,15 @@ def _eager_lines(item: BatchItem) -> list[PayloadLine]:
 def analyze_item_stream(item: BatchItem) -> list[PayloadLine]:
     """Streamed analysis: one payload line per demultiplexed connection.
 
-    The item's records (decoded incrementally from its capture, or
-    taken from its in-memory trace) go through the flow table, and
-    each connection is analyzed on its own.  A single-connection
-    capture keeps the item's own name, so corpus aggregates match the
-    eager path.  Every payload carries the capture's ingest
-    statistics.  A poisonous connection quarantines itself
-    (``error_kind`` in its payload) without sinking the capture's
-    other flows; a failure of the capture itself (unreadable, not a
-    pcap) propagates to the worker guard, which quarantines the whole
-    item.
+    The item's records, decoded incrementally from its capture, go
+    through the flow table, and each connection is analyzed on its
+    own.  A single-connection capture keeps the item's own name, so
+    corpus aggregates match the eager path.  Every payload carries the
+    capture's ingest statistics.  A poisonous connection quarantines
+    itself (``error_kind`` in its payload) without sinking the
+    capture's other flows; a failure of the capture itself
+    (unreadable, not a pcap) propagates to the worker guard, which
+    quarantines the whole item.
 
     Each flow is encoded as soon as its analysis finishes, member by
     member, so no flow's report outlives its turn.  Two members are
@@ -218,10 +195,9 @@ def analyze_item_stream(item: BatchItem) -> list[PayloadLine]:
     at the end (:func:`~repro.pipeline.lines.json_object`).
     """
     stats = IngestStats()
-    records = item.trace.records if item.trace is not None \
-        else iter_pcap(item.path, stats=stats)
     encoded = []
-    for flow in demux_records(records, stats=stats):
+    for flow in demux_records(iter_pcap(item.path, stats=stats),
+                              stats=stats):
         flow_report = build_flow_report(flow, identify=True)
         # The name is a placeholder here: its member is replaced below.
         payload = flow_payload(flow_report, "",

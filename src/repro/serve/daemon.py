@@ -66,7 +66,6 @@ from repro.pipeline.runner import true_implementation
 from repro.serve.governor import (
     DEFAULT_BREAKER_BACKOFF,
     DEFAULT_BREAKER_FAILURES,
-    DEFAULT_BREAKER_MAX_BACKOFF,
     DEFAULT_BREAKER_TRIPS,
     BreakerBoard,
     ResourceGovernor,
@@ -102,8 +101,6 @@ class ServeConfig:
     #: Exit 0 once every source is quiet — the batch-comparison mode.
     exit_when_idle: bool = False
     quiet_seconds: float = 2.0
-    #: Rolling-aggregate window for /stats.
-    window: float = 300.0
     #: Resource budgets (0 disables the watchdog).
     min_free_bytes: int = 0
     max_rss_bytes: int = 0
@@ -111,7 +108,6 @@ class ServeConfig:
     #: Circuit-breaker tuning (per source).
     breaker_failures: int = DEFAULT_BREAKER_FAILURES
     breaker_backoff: float = DEFAULT_BREAKER_BACKOFF
-    breaker_max_backoff: float = DEFAULT_BREAKER_MAX_BACKOFF
     breaker_trips: int = DEFAULT_BREAKER_TRIPS
     #: What to do with a source rotated/truncated in place.
     on_rotate: str = "quarantine"
@@ -134,7 +130,7 @@ class ServeDaemon:
 
     def __init__(self, config: ServeConfig):
         self.config = config
-        self.metrics = ServeMetrics(window=config.window)
+        self.metrics = ServeMetrics()
         self.ready = False
         self.paused = False
         self._stop = threading.Event()
@@ -146,7 +142,6 @@ class ServeDaemon:
         self.breakers = BreakerBoard(
             failures=config.breaker_failures,
             backoff=config.breaker_backoff,
-            max_backoff=config.breaker_max_backoff,
             max_trips=config.breaker_trips)
         self.governor = ResourceGovernor(
             Path(config.out_dir),

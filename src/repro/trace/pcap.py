@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path as FilePath
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.trace.record import Trace
 from repro.trace.wire import AddressMap, encode_record
@@ -27,6 +27,51 @@ LINKTYPE_RAW = 101
 LINKTYPE_ETHERNET = 1
 
 _BYTE_ORDER_PREFIX = {"big": ">", "little": "<"}
+
+
+def pcap_chunks(frames: Iterable[tuple[float, bytes, int | None,
+                                       int | None]],
+                snaplen: int = 65535,
+                byte_order: str = "big") -> Iterator[bytes]:
+    """Frame raw-IP packets as a classic pcap container, chunk by chunk.
+
+    Yields the global header, then each frame's record header and
+    captured bytes.  Each frame is ``(timestamp, data, orig_len,
+    declared_len)``.  ``orig_len`` of None means the packet is whole;
+    a larger value records an honest snaplen-style truncation, exactly
+    as tcpdump would.  ``declared_len`` of None declares the captured
+    length; any other value lies to the reader about how many bytes
+    follow (a torn capture), which only the fuzz layer writes.
+
+    *byte_order* selects the container's header endianness (``"big"``
+    or ``"little"``); readers detect either from the magic number.
+    An unknown one raises at the call, before any chunk (or file)
+    exists.
+    """
+    try:
+        endian = _BYTE_ORDER_PREFIX[byte_order]
+    except KeyError:
+        raise ValueError(f"byte_order must be 'big' or 'little', "
+                         f"not {byte_order!r}")
+    header = struct.pack(endian + "IHHiIII", PCAP_MAGIC, 2, 4, 0, 0,
+                         snaplen, LINKTYPE_RAW)
+    record = struct.Struct(endian + "IIII").pack
+
+    def chunks() -> Iterator[bytes]:
+        yield header
+        for timestamp, data, orig_len, declared_len in frames:
+            declared = len(data) if declared_len is None else declared_len
+            if orig_len is None:
+                orig_len = max(declared, len(data))
+            seconds = int(timestamp)
+            micros = int(round((timestamp - seconds) * 1e6))
+            if micros >= 1_000_000:
+                seconds += 1
+                micros -= 1_000_000
+            yield record(seconds, micros, declared, orig_len)
+            yield data
+
+    return chunks()
 
 
 def write_pcap(trace: Trace, path: str | FilePath,
@@ -44,46 +89,24 @@ def write_pcap(trace: Trace, path: str | FilePath,
     def frames():
         for record in trace.records:
             packet = encode_record(record, addresses)
-            yield record.timestamp, packet[:snaplen], len(packet)
+            yield record.timestamp, packet[:snaplen], len(packet), None
 
     write_raw_pcap(frames(), path,
                    snaplen=snaplen if snaplen is not None else 65535,
                    byte_order=byte_order)
 
 
-def write_raw_pcap(frames: Iterable[tuple[float, bytes, int | None]],
+def write_raw_pcap(frames: Iterable[tuple[float, bytes, int | None,
+                                          int | None]],
                    path: str | FilePath,
                    snaplen: int = 65535,
                    byte_order: str = "big") -> None:
-    """Write pre-encoded raw-IP frames as a pcap file.
-
-    Each frame is ``(timestamp, data, original_length)``;
-    ``original_length`` of None means the frame is whole (``orig_len``
-    = captured length).  A larger ``original_length`` records an
-    honest snaplen-style truncation, exactly as tcpdump would.  This
-    is the frame-level entry point the fuzz layer uses to write
-    captures whose *bytes* — not just whose records — have been
-    mangled.
-    """
-    try:
-        endian = _BYTE_ORDER_PREFIX[byte_order]
-    except KeyError:
-        raise ValueError(f"byte_order must be 'big' or 'little', "
-                         f"not {byte_order!r}")
+    """Write pre-encoded raw-IP frames, framed by :func:`pcap_chunks`,
+    to a pcap file at *path* as they are produced: no whole-capture
+    buffer is built.  :func:`write_pcap` writes through it."""
+    chunks = pcap_chunks(frames, snaplen=snaplen, byte_order=byte_order)
     with open(path, "wb") as handle:
-        handle.write(struct.pack(endian + "IHHiIII", PCAP_MAGIC, 2, 4, 0, 0,
-                                 snaplen, LINKTYPE_RAW))
-        for timestamp, data, original_length in frames:
-            if original_length is None:
-                original_length = len(data)
-            seconds = int(timestamp)
-            micros = int(round((timestamp - seconds) * 1e6))
-            if micros >= 1_000_000:
-                seconds += 1
-                micros -= 1_000_000
-            handle.write(struct.pack(endian + "IIII", seconds, micros,
-                                     len(data), original_length))
-            handle.write(data)
+        handle.writelines(chunks)
 
 
 def read_pcap(path: str | FilePath,

@@ -9,6 +9,7 @@ from repro.harness.corpus import (
     interleave_traces,
     write_corpus,
 )
+from repro.trace.pcap import read_pcap
 
 from tests.conftest import cached_transfer
 
@@ -64,7 +65,7 @@ class TestWriteCorpus:
         assert entry.stem == "reno-0000"
         assert entry.sender_path.exists()
         assert entry.receiver_path.exists()
-        assert len(entry.transfer.sender_trace) > 0
+        assert len(read_pcap(entry.sender_path)) > 0
 
 
 class TestInterleavedCapture:

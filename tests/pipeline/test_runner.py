@@ -6,7 +6,6 @@ from repro.harness.corpus import write_corpus
 from repro.pipeline import (
     ResultCache,
     corpus_items,
-    memory_items,
     run_batch,
     true_implementation,
     write_jsonl,
@@ -104,16 +103,6 @@ class TestRunBatch:
         assert rerun.cache_misses == 1
         assert rerun.cache_hits == len(items) - 1
 
-    def test_memory_items_match_file_items(self, tmp_path):
-        written = write_corpus(tmp_path / "c", implementations=["reno"],
-                               traces_per_implementation=1, data_size=10240)
-        from_memory = run_batch(memory_items(written), jobs=1)
-        from_files = run_batch(corpus_items(tmp_path / "c"), jobs=1)
-        names = [r.name for r in from_memory.results]
-        assert names == [r.name for r in from_files.results]
-        for memory, file in zip(from_memory.results, from_files.results):
-            assert memory.payload["records"] == file.payload["records"]
-
     def test_rejects_zero_jobs(self, corpus_dir):
         with pytest.raises(ValueError):
             run_batch(corpus_items(corpus_dir), jobs=0)
@@ -184,15 +173,6 @@ class TestStreamMode:
         assert warm.cache_misses == 0
         assert [r.payload for r in warm.results] \
             == [r.payload for r in cold.results]
-
-    def test_stream_memory_items_demux_in_memory(self, tmp_path):
-        written = write_corpus(tmp_path / "c", implementations=["reno"],
-                               traces_per_implementation=1,
-                               data_size=10240)
-        batch = run_batch(memory_items(written), jobs=1, stream=True)
-        assert len(batch.results) == 2
-        for result in batch.results:
-            assert result.payload["flow"]["saw_syn"]
 
     def test_damaged_capture_yields_error_payload(self, tmp_path):
         outdir = tmp_path / "caps"

@@ -150,6 +150,30 @@ class TestCorpusCommand:
         assert "batch aggregate" in out
         assert len(jsonl.read_text().splitlines()) == 2
 
+    def test_analyze_is_batch_over_the_written_directory(self, tmp_path,
+                                                         capsys):
+        corpus = tmp_path / "corpus"
+        analyzed = tmp_path / "corpus.jsonl"
+        batched = tmp_path / "batch.jsonl"
+        cache = str(tmp_path / "cache")
+        assert main(["corpus", str(corpus), "--implementations",
+                     "reno,linux-1.0", "--per-implementation", "1",
+                     "--size", "10240", "--analyze", "--jsonl",
+                     str(analyzed), "--cache", cache]) == 0
+        corpus_out = capsys.readouterr().out
+        assert main(["batch", str(corpus), "--no-journal", "--jsonl",
+                     str(batched), "--cache", cache]) == 0
+        batch_out = capsys.readouterr().out
+        assert analyzed.read_bytes() == batched.read_bytes()
+        assert "cache: 4 hit(s), 0 miss(es)" in batch_out
+
+        def aggregate(out):
+            # The report minus the run's own cache and wall-clock footer.
+            start = out.index("batch aggregate")
+            return out[start:out.index("jobs: ", start)]
+
+        assert aggregate(corpus_out) == aggregate(batch_out)
+
     def test_corpus_traces_readable(self, tmp_path):
         main(["corpus", str(tmp_path / "corpus"),
               "--per-implementation", "1", "--size", "10240"])

@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from repro.trace.pcap import read_pcap, write_pcap
+from repro.trace.pcap import pcap_chunks, read_pcap, write_pcap
 from repro.trace.wire import AddressMap
 
 from tests.conftest import cached_transfer
@@ -99,6 +99,7 @@ class TestByteOrders:
     def test_unknown_byte_order_rejected(self, wan_trace, tmp_path):
         with pytest.raises(ValueError):
             write_pcap(wan_trace, tmp_path / "x.pcap", byte_order="middle")
+        assert not (tmp_path / "x.pcap").exists()
 
 
 class TestFileFormat:
@@ -149,3 +150,31 @@ class TestFileFormat:
         assert len(loaded) == 4
         assert loaded[-1].payload == data_record.payload
         assert not loaded[-1].corrupted   # checksum unverifiable
+
+
+class TestFraming:
+    """The one record framer every pcap writer goes through."""
+
+    @staticmethod
+    def record_header(frame, byte_order="big"):
+        blob = b"".join(pcap_chunks([frame], byte_order=byte_order))
+        assert blob[40:] == frame[1]    # after the 24 + 16 header bytes
+        prefix = ">" if byte_order == "big" else "<"
+        return struct.unpack(prefix + "IIII", blob[24:40])
+
+    @pytest.mark.parametrize("byte_order", ["big", "little"])
+    def test_whole_frame_declares_its_own_length(self, byte_order):
+        assert self.record_header((2.25, b"x" * 40, None, None),
+                                  byte_order) == (2, 250000, 40, 40)
+
+    def test_honest_truncation_keeps_the_original_length(self):
+        assert self.record_header((0.0, b"x" * 28, 60, None)) \
+            == (0, 0, 28, 60)
+
+    def test_torn_record_declares_more_than_follows(self):
+        assert self.record_header((0.0, b"x" * 10, None, 16)) \
+            == (0, 0, 16, 16)
+
+    def test_microsecond_rounding_carries_into_seconds(self):
+        assert self.record_header((4.9999996, b"", None, None)) \
+            == (5, 0, 0, 0)
