@@ -91,15 +91,19 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.fit import identify_implementation
-from repro.core.report import analyze_trace
-from repro.harness.scenarios import SCENARIOS, traced_transfer
+from repro.harness.scenarios import SCENARIOS
 from repro.tcp.catalog import CATALOG, get_behavior
-from repro.trace.pcap import read_pcap, write_pcap
 from repro.units import kbyte
+
+# Each command imports the analyzer, the decoder and numpy when it
+# runs: a ``batch --jobs N`` parent only schedules work and moves
+# result lines, so it never loads them (its workers do).
 
 
 def _command_analyze(args: argparse.Namespace) -> int:
+    from repro.core.report import analyze_trace
+    from repro.trace.pcap import read_pcap
+
     trace = read_pcap(args.trace)
     behavior = get_behavior(args.implementation) if args.implementation \
         else None
@@ -113,6 +117,9 @@ def _command_analyze(args: argparse.Namespace) -> int:
 
 def _command_identify(args: argparse.Namespace) -> int:
     from repro.core.engine import IdentificationEngine
+    from repro.core.fit import identify_implementation
+    from repro.trace.pcap import read_pcap
+
     trace = read_pcap(args.trace)
     engine = None if args.exhaustive else IdentificationEngine()
     if args.receiver:
@@ -141,6 +148,9 @@ def _command_identify(args: argparse.Namespace) -> int:
 
 
 def _command_simulate(args: argparse.Namespace) -> int:
+    from repro.harness.scenarios import traced_transfer
+    from repro.trace.pcap import write_pcap
+
     behavior = get_behavior(args.implementation)
     transfer = traced_transfer(behavior, args.scenario,
                                data_size=args.size, seed=args.seed)
@@ -161,6 +171,8 @@ def _command_simulate(args: argparse.Namespace) -> int:
 
 def _command_calibrate(args: argparse.Namespace) -> int:
     from repro.core.calibrate import calibrate_trace
+    from repro.trace.pcap import read_pcap
+
     trace = read_pcap(args.trace)
     behavior = get_behavior(args.implementation) if args.implementation \
         else None
@@ -407,6 +419,7 @@ def _command_list(args: argparse.Namespace) -> int:
 
 def _command_plot(args: argparse.Namespace) -> int:
     from repro.analysis.seqplot import render_ascii_plot, sequence_plot
+    from repro.trace.pcap import read_pcap
 
     trace = read_pcap(args.trace)
     print(render_ascii_plot(sequence_plot(trace, title=args.trace)))

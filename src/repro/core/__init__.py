@@ -11,27 +11,33 @@ Public surface:
   clearly-incorrect fits (§5, §6.1).
 * :mod:`repro.core.calibrate` — packet-filter measurement-error
   detection (§3): drops, additions, resequencing, timing.
+
+The names below load on first use (PEP 562), so importing one
+submodule does not load the whole analyzer.
 """
 
-from repro.core.sender.analyzer import analyze_sender, SenderAnalysis
-from repro.core.receiver.analyzer import analyze_receiver, ReceiverAnalysis
-from repro.core.fit import (
-    FitReport,
-    ReceiverFit,
-    identify_implementation,
-    identify_receiver,
-)
-from repro.core.calibrate import calibrate_trace, CalibrationReport
+import importlib
 
-__all__ = [
-    "analyze_sender",
-    "SenderAnalysis",
-    "analyze_receiver",
-    "ReceiverAnalysis",
-    "identify_implementation",
-    "identify_receiver",
-    "FitReport",
-    "ReceiverFit",
-    "calibrate_trace",
-    "CalibrationReport",
-]
+#: Re-exported name -> the submodule that defines it.
+_EXPORTS = {
+    "analyze_sender": "sender.analyzer",
+    "SenderAnalysis": "sender.analyzer",
+    "analyze_receiver": "receiver.analyzer",
+    "ReceiverAnalysis": "receiver.analyzer",
+    "identify_implementation": "fit",
+    "identify_receiver": "fit",
+    "FitReport": "fit",
+    "ReceiverFit": "fit",
+    "calibrate_trace": "calibrate",
+    "CalibrationReport": "calibrate",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -119,7 +119,7 @@ def calibrate_trace(trace: Trace, behavior: TCPBehavior | None = None,
         from repro.core.vantage import infer_vantage
         vantage = infer_vantage(cleaned)
     if shared is None and behavior is not None and vantage == "sender" \
-            and cleaned.records:
+            and len(cleaned):
         from repro.core.sender.analyzer import TraceUnusable, analyze_sender
         try:
             shared = analyze_sender(cleaned, behavior)

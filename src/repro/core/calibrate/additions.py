@@ -68,7 +68,7 @@ def detect_duplicates(trace: Trace, vantage: str | None = None,
     Timeout-driven repeats need no inbound traffic but sit at RTO
     scale, outside the 50 ms window.
     """
-    if not trace.records:
+    if not len(trace):
         return []
     from repro.core.vantage import infer_vantage
     if vantage is None:

@@ -81,7 +81,7 @@ def run_drop_checks(trace: Trace,
     supplies an already-computed replay of (*trace*, *behavior*) so
     the window-violation check need not run its own.
     """
-    if not trace.records:
+    if not len(trace):
         return []
     try:
         flow = trace.primary_flow()
@@ -219,36 +219,41 @@ def check_stretch_ack_gap(trace: Trace, flow) -> list[DropEvidence]:
     good.  Each arrival is pushed and popped once: O(n log n).
     """
     evidence = []
-    # Flow ids from the columns, not ``record.flow``: that would build
-    # a FlowKey per record.
+    # Column rows, not records: a record is built only for evidence.
     columns = trace.columns()
     fid = columns.flow_id(flow)
     rid = columns.reverse_id(fid) if fid >= 0 else -1
+    ids = columns.flow_ids
+    arrival = (ids == fid) & (columns.is_data | columns.is_syn
+                              | columns.is_fin)
+    inbound_ack = (ids == rid) & columns.has_ack & ~columns.is_syn
+    rows = np.flatnonzero(arrival | inbound_ack)
     rcv_high = None    # highest contiguous arrival boundary seen
     high = 0           # rcv_high unwrapped: an integer that only rises
     # (start, end, raw end) of arrivals not yet merged, unwrapped
     waiting: list[tuple[int, int, int]] = []
-    for record, record_id in zip(trace.records, columns.flow_ids.tolist()):
-        if record_id == fid and (record.payload > 0 or record.is_syn
-                                 or record.is_fin):
+    for row, is_arrival, seq, seq_end, ack in zip(
+            rows.tolist(), arrival[rows].tolist(), columns.seq[rows].tolist(),
+            columns.seq_end[rows].tolist(), columns.ack[rows].tolist()):
+        if is_arrival:
             if rcv_high is None:
-                rcv_high = record.seq_end
+                rcv_high = seq_end
                 continue
-            heapq.heappush(waiting, (high + seq_diff(record.seq, rcv_high),
-                                     high + seq_diff(record.seq_end, rcv_high),
-                                     record.seq_end))
+            heapq.heappush(waiting, (high + seq_diff(seq, rcv_high),
+                                     high + seq_diff(seq_end, rcv_high),
+                                     seq_end))
             while waiting and waiting[0][0] <= high:
                 _, end, raw_end = heapq.heappop(waiting)
                 if end > high:
                     high, rcv_high = end, raw_end
-        elif record_id == rid and record.has_ack and not record.is_syn:
-            if rcv_high is not None and seq_gt(record.ack, rcv_high):
-                evidence.append(DropEvidence(
-                    "stretch_ack_gap", record.timestamp,
-                    f"ack {record.ack} covers data never recorded "
-                    f"arriving (recorded through {rcv_high})", record))
-                high += seq_diff(record.ack, rcv_high)
-                rcv_high = record.ack
+        elif rcv_high is not None and seq_gt(ack, rcv_high):
+            record = columns.record(row)
+            evidence.append(DropEvidence(
+                "stretch_ack_gap", record.timestamp,
+                f"ack {ack} covers data never recorded "
+                f"arriving (recorded through {rcv_high})", record))
+            high += seq_diff(ack, rcv_high)
+            rcv_high = ack
     return evidence
 
 

@@ -52,7 +52,7 @@ def detect_resequencing(trace: Trace,
     *sender_analysis* supplies an already-computed replay of (*trace*,
     *behavior*) so situation (ii) need not run its own.
     """
-    if not trace.records:
+    if not len(trace):
         return []
     try:
         flow = trace.primary_flow()
@@ -80,28 +80,33 @@ def detect_lull_then_ack(trace: Trace, flow) -> list[ResequencingEvent]:
     reordered them.
     """
     events = []
-    records = trace.records
-    reverse = flow.reversed()
-    for i in _lulled_data_indices(trace, flow):
-        record = records[i]
+    lulled = _lulled_data_indices(trace, flow)
+    if not lulled:
+        return events
+    # Column rows, not records: a record is built only for an event.
+    columns = trace.columns()
+    rid = columns.reverse_id(columns.flow_id(flow))
+    inbound_ack = ((columns.flow_ids == rid) & columns.has_ack).tolist()
+    ts = columns.timestamp.tolist()
+    seq = columns.seq.tolist()
+    ack = columns.ack.tolist()
+    for i in lulled:
         # Was there an inbound advancing ack *just before* that
         # explains the send?  If so, no anomaly.
-        explained = any(
-            earlier.flow == reverse and earlier.has_ack
-            and record.timestamp - earlier.timestamp <= LULL
-            for earlier in records[max(0, i - 6):i])
+        explained = any(inbound_ack[j] and ts[i] - ts[j] <= LULL
+                        for j in range(max(0, i - 6), i))
         if explained:
             continue
-        for later in records[i + 1:i + 6]:
-            if later.timestamp - record.timestamp > SHORTLY:
+        for j in range(i + 1, min(i + 6, columns.n)):
+            if ts[j] - ts[i] > SHORTLY:
                 break
-            if (later.flow == reverse and later.has_ack
-                    and seq_ge(later.ack, record.seq)):
+            if inbound_ack[j] and seq_ge(ack[j], seq[i]):
                 events.append(ResequencingEvent(
-                    "lull_then_ack", record.timestamp, record, later,
-                    f"data at {record.timestamp:.6f} after "
+                    "lull_then_ack", ts[i], columns.record(i),
+                    columns.record(j),
+                    f"data at {ts[i]:.6f} after "
                     f"a lull; liberating ack recorded "
-                    f"{(later.timestamp - record.timestamp) * 1e6:.0f} us "
+                    f"{(ts[j] - ts[i]) * 1e6:.0f} us "
                     f"later"))
                 break
     return events
@@ -131,36 +136,39 @@ def detect_ack_before_arrival(trace: Trace, flow) -> list[ResequencingEvent]:
     if not _screen_ack_before_arrival(columns, flow):
         return []
     events = []
-    records = trace.records
-    # Flow ids, not ``record.flow``, which builds a FlowKey per record.
+    # Column rows, not records: a record is built only for an event.
     # The screen passed, so both directions are in the trace.
-    ids = columns.flow_ids.tolist()
     fid = columns.flow_id(flow)
     rid = columns.reverse_id(fid)
+    ids = columns.flow_ids
+    arrival = ((ids == fid) & (columns.is_data | columns.is_syn)).tolist()
+    outbound_ack = ((ids == rid) & columns.has_ack
+                    & ~columns.is_syn).tolist()
+    data = ((ids == fid) & columns.is_data).tolist()
+    ts = columns.timestamp.tolist()
+    seq_end = columns.seq_end.tolist()
+    ack = columns.ack.tolist()
     rcv_high: int | None = None
-    for i, record in enumerate(records):
-        if ids[i] == fid and (record.payload > 0 or record.is_syn):
-            if rcv_high is None or seq_gt(record.seq_end, rcv_high):
-                rcv_high = record.seq_end
-        elif (ids[i] == rid and record.has_ack
-              and not record.is_syn):
-            if rcv_high is None or not seq_gt(record.ack, rcv_high):
+    for i in range(columns.n):
+        if arrival[i]:
+            if rcv_high is None or seq_gt(seq_end[i], rcv_high):
+                rcv_high = seq_end[i]
+        elif outbound_ack[i]:
+            if rcv_high is None or not seq_gt(ack[i], rcv_high):
                 continue
             # The ack covers unseen data: does it arrive very shortly?
-            for j in range(i + 1, min(i + 6, len(records))):
-                later = records[j]
-                if later.timestamp - record.timestamp > SHORTLY:
+            for j in range(i + 1, min(i + 6, columns.n)):
+                if ts[j] - ts[i] > SHORTLY:
                     break
-                if (ids[j] == fid and later.payload > 0
-                        and seq_ge(later.seq_end, record.ack)):
+                if data[j] and seq_ge(seq_end[j], ack[i]):
                     events.append(ResequencingEvent(
-                        "ack_before_arrival", record.timestamp, later,
-                        record,
-                        f"ack {record.ack} precedes the arrival it "
+                        "ack_before_arrival", ts[i], columns.record(j),
+                        columns.record(i),
+                        f"ack {ack[i]} precedes the arrival it "
                         f"acknowledges by "
-                        f"{(later.timestamp - record.timestamp) * 1e6:.0f} "
+                        f"{(ts[j] - ts[i]) * 1e6:.0f} "
                         f"us"))
-                    rcv_high = record.ack
+                    rcv_high = ack[i]
                     break
     return events
 

@@ -40,10 +40,10 @@ class TimeTravelEvent:
 
 def detect_time_travel(trace: Trace) -> list[TimeTravelEvent]:
     """Find every timestamp decrease in recording order."""
-    records = trace.records
-    ts = trace.columns().timestamp
-    return [TimeTravelEvent(i, records[i - 1], records[i])
-            for i in (int(h) for h in np.flatnonzero(ts[1:] < ts[:-1]) + 1)]
+    columns = trace.columns()
+    ts = columns.timestamp
+    return [TimeTravelEvent(i, columns.record(i - 1), columns.record(i))
+            for i in (np.flatnonzero(ts[1:] < ts[:-1]) + 1).tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,13 @@ before the same data arrives again (§7).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from repro.packets import FlowKey
 from repro.tcp.params import TCPBehavior
+from repro.trace.columns import RecordRows
 from repro.trace.record import Trace, TraceRecord
 from repro.units import seq_diff, seq_gt, seq_le
 
@@ -43,9 +45,16 @@ MANDATORY_ACK_DEADLINE = 0.075
 
 @dataclass(frozen=True, slots=True)
 class AckExplanation:
-    """The analyzer's account of one outbound ack."""
+    """The analyzer's account of one outbound ack.
 
-    record: TraceRecord
+    It names the ack by position in pass one's ``events`` timeline;
+    the ``TraceRecord`` is built only when :attr:`record` is read.
+    """
+
+    #: Pass one's event timeline (``ReceiverPassOne.events``).
+    events: Sequence[TraceRecord] = field(repr=False)
+    #: The ack's index in ``events``.
+    position: int
     kind: str                  # delayed / normal / stretch / dup /
     #                            window_update / fin_ack / gratuitous
     acked_bytes: int = 0
@@ -54,6 +63,10 @@ class AckExplanation:
     #: Reasons of the obligations this ack discharged (in_sequence,
     #: out_of_sequence, hole_fill, old_data, probe, fin).
     discharged_reasons: tuple[str, ...] = ()
+
+    @property
+    def record(self) -> TraceRecord:
+        return self.events[self.position]
 
 
 @dataclass
@@ -116,7 +129,9 @@ class ReceiverPassOne:
     flow: FlowKey
     full_size: int
     syn_seq: int
-    events: list[TraceRecord]
+    #: Arrivals and outbound acks in trace order (records built when
+    #: read: a ``RecordRows`` view in production).
+    events: Sequence[TraceRecord]
     #: ``events`` as plain ``(timestamp, inbound, seq, ack, window,
     #: payload, fin)`` rows, index for index: what every replay step
     #: reads.  ``inbound`` marks an arrival on the data flow; the rest
@@ -141,7 +156,7 @@ def extract_receiver_pass_one(trace: Trace,
                                 & ~columns.has_ack)
     if syn_i < 0:
         raise ValueError("trace does not contain the connection SYN")
-    syn = columns.records[syn_i]
+    syn = columns.record(syn_i)
     full_size = syn.mss_option if syn.mss_option is not None else 536
     verified_corrupt: list[TraceRecord] = []
     inferred_corrupt: list[TraceRecord] = []
@@ -170,7 +185,7 @@ def extract_receiver_pass_one(trace: Trace,
                     columns.is_fin[event_idx].tolist()))
     return ReceiverPassOne(
         flow=flow, full_size=full_size, syn_seq=syn.seq,
-        events=columns.records_at(event_idx), rows=rows,
+        events=RecordRows(columns, event_idx.tolist()), rows=rows,
         discarded=discarded, verified_corrupt=verified_corrupt,
         inferred_corrupt=inferred_corrupt, headers_only=headers_only)
 
@@ -208,12 +223,13 @@ def analyze_receiver(trace: Trace | None, behavior: TCPBehavior,
     mandatory_hole_fill = behavior.immediate_ack_on_hole_fill
     ack_on_consumption = behavior.ack_on_consumption
     last_arrival_time = float("-inf")
-    for record, (time, inbound, seq, ack, window, payload, fin) in zip(
-            pass_one.events, pass_one.rows):
+    events = pass_one.events
+    for position, (time, inbound, seq, ack, window, payload, fin) in \
+            enumerate(pass_one.rows):
         if tracker.pending:
             tracker.expire(time, MANDATORY_ACK_DEADLINE)
         if inbound:
-            if record.packet_id in discarded:
+            if discarded and events[position].packet_id in discarded:
                 continue  # the kernel dropped it before TCP saw it
             last_arrival_time = time
             if payload == 1 and last_window == 0:
@@ -228,7 +244,7 @@ def analyze_receiver(trace: Trace | None, behavior: TCPBehavior,
                 mandatory_hole_fill, ack_on_consumption)
         else:
             last_ack_value, last_window = _outbound_ack(
-                record, time, ack, window, rcv_nxt, last_ack_value,
+                events, position, time, ack, window, rcv_nxt, last_ack_value,
                 last_window, tracker, full_size, fin_rcv_seq, analysis,
                 last_arrival_time)
 
@@ -304,14 +320,15 @@ def _arrival(time: float, seg_start: int, payload: int, fin: bool,
     return rcv_nxt, ooo, fin_rcv_seq
 
 
-def _outbound_ack(record: TraceRecord, time: float, ack: int, window: int,
+def _outbound_ack(events: Sequence[TraceRecord], position: int,
+                  time: float, ack: int, window: int,
                   rcv_nxt: int, last_ack_value: int,
                   last_window: int | None, tracker: ObligationTracker,
                   full_size: int, fin_rcv_seq: int | None,
                   analysis: ReceiverAnalysis,
                   last_arrival_time: float = float("-inf")):
-    """Explain one observed outbound ack (*record*, whose time, ack
-    number and window the caller has unpacked)."""
+    """Explain one observed outbound ack (``events[position]``, whose
+    time, ack number and window the caller has unpacked)."""
     acked = seq_diff(ack, last_ack_value)
     window_changed = last_window is not None and window != last_window
     oldest = tracker.oldest_pending_time()
@@ -323,15 +340,15 @@ def _outbound_ack(record: TraceRecord, time: float, ack: int, window: int,
         if discharged and any(o.reason in ("out_of_sequence", "old_data",
                                            "probe")
                               for o in discharged):
-            explanation = AckExplanation(record, "dup", acked_bytes=0,
-                                         generation_delay=delay,
-                                         discharged_reasons=reasons)
+            explanation = AckExplanation(
+                events, position, "dup", acked_bytes=0,
+                generation_delay=delay, discharged_reasons=reasons)
         elif window_changed:
-            explanation = AckExplanation(record, "window_update",
+            explanation = AckExplanation(events, position, "window_update",
                                          generation_delay=delay,
                                          discharged_reasons=reasons)
         elif fin_rcv_seq is not None and ack == fin_rcv_seq:
-            explanation = AckExplanation(record, "fin_ack",
+            explanation = AckExplanation(events, position, "fin_ack",
                                          generation_delay=delay,
                                          discharged_reasons=reasons)
         elif time - last_arrival_time <= 0.010:
@@ -340,29 +357,29 @@ def _outbound_ack(record: TraceRecord, time: float, ack: int, window: int,
             # emitted this ack for an obligation the previous ack
             # appeared (to us) to have discharged already.
             explanation = AckExplanation(
-                record, "dup", acked_bytes=0,
+                events, position, "dup", acked_bytes=0,
                 note="response to an arrival within vantage slop")
         else:
             explanation = AckExplanation(
-                record, "gratuitous",
+                events, position, "gratuitous",
                 note="no obligation, no window change")
             analysis.gratuitous.append(explanation)
     elif fin_rcv_seq is not None and ack == fin_rcv_seq:
-        explanation = AckExplanation(record, "fin_ack", acked_bytes=acked,
-                                     generation_delay=delay,
-                                     discharged_reasons=reasons)
+        explanation = AckExplanation(
+            events, position, "fin_ack", acked_bytes=acked,
+            generation_delay=delay, discharged_reasons=reasons)
     elif acked < 2 * full_size:
-        explanation = AckExplanation(record, "delayed", acked_bytes=acked,
-                                     generation_delay=delay,
-                                     discharged_reasons=reasons)
+        explanation = AckExplanation(
+            events, position, "delayed", acked_bytes=acked,
+            generation_delay=delay, discharged_reasons=reasons)
     elif acked < 3 * full_size:
-        explanation = AckExplanation(record, "normal", acked_bytes=acked,
-                                     generation_delay=delay,
-                                     discharged_reasons=reasons)
+        explanation = AckExplanation(
+            events, position, "normal", acked_bytes=acked,
+            generation_delay=delay, discharged_reasons=reasons)
     else:
-        explanation = AckExplanation(record, "stretch", acked_bytes=acked,
-                                     generation_delay=delay,
-                                     discharged_reasons=reasons)
+        explanation = AckExplanation(
+            events, position, "stretch", acked_bytes=acked,
+            generation_delay=delay, discharged_reasons=reasons)
 
     analysis.explanations.append(explanation)
     if delay is not None and delay > MAX_ACK_DELAY:

@@ -15,7 +15,7 @@ from repro.trace.record import Trace
 
 from repro.core.calibrate import CalibrationReport, calibrate_trace
 from repro.core.engine import IdentificationEngine
-from repro.core.errors import stage
+from repro.errors import stage
 from repro.core.fit import FitReport, ReceiverFit
 from repro.core.receiver.analyzer import (
     ReceiverAnalysis,

@@ -31,12 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.packets import FlowKey
 from repro.tcp.params import QuenchResponse, TCPBehavior
+from repro.trace.columns import RecordRows
 from repro.trace.record import Trace, TraceRecord
 from repro.units import seq_diff, seq_ge, seq_gt, seq_le
 
@@ -66,10 +67,15 @@ class Classification(NamedTuple):
 
     A named tuple rather than a frozen dataclass: equally immutable
     and ``__dict__``-free, but about three times cheaper to build, and
-    every replay step builds one.
+    every replay step builds one.  It names its packet by position in
+    pass one's ``data`` timeline; the ``TraceRecord`` is built only
+    when :attr:`record` is read.
     """
 
-    record: TraceRecord
+    #: Pass one's data timeline (``SenderPassOne.data``).
+    data: Sequence[TraceRecord]
+    #: The packet's index in ``data``.
+    position: int
     kind: str                        # new/goback/fast_retransmit/timeout/
     #                                  flight/quirk/filter_gap/violation
     response_delay: float | None = None
@@ -77,6 +83,10 @@ class Classification(NamedTuple):
     #: Bytes in flight (relative to the model's snd_una) after this
     #: send — used by the §6.2 sender-window inference.
     flight: int = 0
+
+    @property
+    def record(self) -> TraceRecord:
+        return self.data[self.position]
 
 
 #: How many leading data packets the early-ramp statistic covers.
@@ -122,10 +132,11 @@ class SenderPassOne:
     """
 
     facts: ConnectionFacts
-    #: Primary-flow data packets, in trace order.
-    data: list[TraceRecord]
+    #: Primary-flow data packets, in trace order (records built when
+    #: read: a ``RecordRows`` view in production).
+    data: Sequence[TraceRecord]
     #: Reverse-direction acks at/after the SYN-ack, in trace order.
-    acks: list[TraceRecord]
+    acks: Sequence[TraceRecord]
     #: ``data`` as plain ``(timestamp, seq, seq_end, payload)`` rows,
     #: index for index: what every replay step reads.
     data_rows: list[tuple[float, int, int, int]]
@@ -244,8 +255,8 @@ def extract_pass_one(trace: Trace) -> SenderPassOne:
         synack_i = columns.first_index(reverse_ack & columns.is_syn)
     if syn_i < 0 or synack_i < 0:
         raise TraceUnusable("trace does not contain the SYN handshake")
-    syn = columns.records[syn_i]
-    synack = columns.records[synack_i]
+    syn = columns.record(syn_i)
+    synack = columns.record(synack_i)
 
     offered_mss, peer_offered, negotiated = _handshake_mss(syn, synack)
     synack_time = synack.timestamp
@@ -290,8 +301,8 @@ def extract_pass_one(trace: Trace) -> SenderPassOne:
         syn_count=max(syn_count, 1),
         early_peak_flight=early_peak_flight)
     return SenderPassOne(
-        facts=facts, data=columns.records_at(data_idx),
-        acks=columns.records_at(ack_idx),
+        facts=facts, data=RecordRows(columns, data_idx.tolist()),
+        acks=RecordRows(columns, ack_idx.tolist()),
         data_rows=list(zip(columns.timestamp[data_idx].tolist(),
                            columns.seq[data_idx].tolist(),
                            columns.seq_end[data_idx].tolist(),
@@ -342,8 +353,8 @@ class _Replay:
 
     Each step reads pass one's rows, not its records: a data row is
     ``(timestamp, seq, seq_end, payload)`` and an ack row ``(timestamp,
-    ack, window, payload)``.  The record is only carried along to be
-    named by the step's :class:`Classification`.  Sequence tests in a
+    ack, window, payload)``.  A step's :class:`Classification` names
+    its packet by position; no record is read.  Sequence tests in a
     step use the inline residue forms that ``repro.units`` documents.
     """
 
@@ -358,6 +369,7 @@ class _Replay:
             facts.initial_offered_window)
         # Pass one's ack rows, shared read-only by every replay.
         self.acks = pass_one.ack_rows
+        self.data = pass_one.data
         self.next_ack = 0
         self.flight_resend_next: int | None = None
         self.last_send_time = facts.synack_time
@@ -375,9 +387,9 @@ class _Replay:
 
     # -- explanation -------------------------------------------------------
 
-    def try_explain(self, record: TraceRecord,
-                    row: tuple[float, int, int, int]
+    def try_explain(self, index: int, row: tuple[float, int, int, int]
                     ) -> Classification | None:
+        data = self.data
         time, seq, end, payload = row
         model = self.model
         snd_nxt = model.snd_nxt
@@ -386,7 +398,7 @@ class _Replay:
             if payload == 1 and model.offered_window == 0:
                 # A zero-window probe from the persist timer: one byte
                 # sent despite (because of) the closed window.
-                return Classification(record, "window_probe")
+                return Classification(data, index, "window_probe")
             ledger = model.ledger
             past_high = (end - ledger.current_high) % 2**32
             if past_high and past_high < 2**31:
@@ -398,7 +410,7 @@ class _Replay:
             if flight >= 2**31:
                 flight -= 2**32
             return Classification(
-                record, kind,
+                data, index, kind,
                 time - liberated if liberated is not None else None,
                 "", flight)
         if (seq - snd_nxt) % 2**32 < 2**31:
@@ -411,7 +423,7 @@ class _Replay:
 
         # seq < snd_nxt: an out-of-band retransmission.
         if self.flight_resend_next is not None and seq == self.flight_resend_next:
-            return Classification(record, "flight")
+            return Classification(data, index, "flight")
         if seq != model.snd_una:
             # A retransmission of something other than the oldest
             # outstanding data: only flight-style senders do this, and
@@ -420,21 +432,21 @@ class _Replay:
         behavior = self.behavior
         if (behavior.fast_retransmit and model.expected_fast_rexmit
                 and time - model.expected_fast_rexmit_time <= QUIRK_WINDOW):
-            return Classification(record, "fast_retransmit")
+            return Classification(data, index, "fast_retransmit")
         if (behavior.dup_ack_triggers_flight_retransmit
                 and model.dupacks >= 1):
-            return Classification(record, "flight_start",
+            return Classification(data, index, "flight_start",
                                   note="dup-ack-triggered flight burst")
         if (behavior.rexmit_packet_after_ack
                 and (model.rexmit_epoch or model.quirk_expected)
                 and time - model.last_advance_time <= QUIRK_WINDOW):
-            return Classification(record, "quirk",
+            return Classification(data, index, "quirk",
                                   note="retransmit-after-ack quirk")
         elapsed = time - model.timer_base
         if elapsed >= TIMEOUT_TOLERANCE * model.estimated_rto():
             kind = ("flight_start" if behavior.retransmit_whole_flight
                     else "timeout")
-            return Classification(record, kind,
+            return Classification(data, index, kind,
                                   note=f"after {elapsed * 1e3:.0f} ms, "
                                   f"RTO est {model.estimated_rto() * 1e3:.0f} ms")
         return None
@@ -526,7 +538,7 @@ def _replay(pass_one: SenderPassOne, behavior: TCPBehavior,
             analysis: SenderAnalysis,
             abort_score: float | None = None) -> None:
     state = _Replay(pass_one, behavior, analysis)
-    records = pass_one.data
+    data = pass_one.data
     rows = pass_one.data_rows
     n_rows = len(rows)
     # Early-abort bound (branch-and-bound over candidates): once the
@@ -542,15 +554,14 @@ def _replay(pass_one: SenderPassOne, behavior: TCPBehavior,
     trial: _QuenchTrial | None = None
     no_quench_at: set[int] = set()   # indices where the hypothesis failed
     while index < n_rows:
-        record = records[index]
         row = rows[index]
         time = row[0]
         model = state.model
         # Feed acks lazily: only as needed, never past the packet's time.
-        classification = state.try_explain(record, row)
+        classification = state.try_explain(index, row)
         while classification is None and state.acks_available_by(time):
             state.feed_ack()
-            classification = state.try_explain(record, row)
+            classification = state.try_explain(index, row)
 
         wants_quench = (
             classification is not None and classification.kind == "new"
@@ -568,14 +579,14 @@ def _replay(pass_one: SenderPassOne, behavior: TCPBehavior,
             # this: see ``IdentificationEngine.identify_sender``).
             if time - state.last_send_time >= LULL_S:
                 analysis.lull_reached = True
-                quenched = _quench_inference(state, record, row, index)
+                quenched = _quench_inference(state, row, index)
                 if quenched is not None:
                     classification, trial = quenched
         if classification is None:
-            classification = _lookahead(state, record, row)
+            classification = _lookahead(state, index, row)
         if classification is None and seq_gt(row[1], model.snd_nxt):
             classification = Classification(
-                record, "filter_gap",
+                data, index, "filter_gap",
                 note=f"gap of {seq_diff(row[1], model.snd_nxt)} bytes "
                 f"before this packet: data records missing")
         if classification is None:
@@ -587,7 +598,7 @@ def _replay(pass_one: SenderPassOne, behavior: TCPBehavior,
                 trial = None
                 continue
             classification = Classification(
-                record, "violation",
+                data, index, "violation",
                 note=f"model allowed up to {model.allowed_high()}, "
                 f"packet ends {row[2]}; state {model.snapshot()}")
             analysis.violations.append(classification)
@@ -612,7 +623,7 @@ def _replay(pass_one: SenderPassOne, behavior: TCPBehavior,
     # after the replay reads the model.
 
 
-def _lookahead(state: _Replay, record: TraceRecord,
+def _lookahead(state: _Replay, index: int,
                row: tuple[float, int, int, int]) -> Classification | None:
     """Resequencing detection (§3.1.3): can an ack recorded just
     *after* this packet explain it?"""
@@ -622,10 +633,10 @@ def _lookahead(state: _Replay, record: TraceRecord,
            and acks[state.next_ack][0] <= row[0] + RESEQUENCING_LOOKAHEAD):
         state.feed_ack()
         fed += 1
-        classification = state.try_explain(record, row)
+        classification = state.try_explain(index, row)
         if classification is not None:
             clue = Classification(
-                record, classification.kind,
+                state.data, index, classification.kind,
                 response_delay=classification.response_delay,
                 note="explained only by an ack recorded after it: "
                 "packet filter resequencing")
@@ -634,8 +645,8 @@ def _lookahead(state: _Replay, record: TraceRecord,
     return None
 
 
-def _quench_inference(state: _Replay, record: TraceRecord,
-                      row: tuple[float, int, int, int], index: int
+def _quench_inference(state: _Replay, row: tuple[float, int, int, int],
+                      index: int
                       ) -> tuple[Classification, _QuenchTrial] | None:
     """Source-quench inference (§6.2): a long unexplained sending lull,
     after which the send pattern is consistent with the stack's
@@ -687,7 +698,7 @@ def _quench_inference(state: _Replay, record: TraceRecord,
         # the packet as in-window anyway (the quench window starts at
         # snd_una).
         note = "source quench inferred; window rebuilding"
-    return Classification(record, "new", response_delay=None,
+    return Classification(state.data, index, "new", response_delay=None,
                           note=note), trial
 
 

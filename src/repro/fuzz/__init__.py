@@ -16,7 +16,7 @@ damage.  This package turns that claim into a machine-checkable gate:
   reproducer.
 
 Every scenario must either identify correctly, refuse honestly, or
-quarantine with a classified :class:`~repro.core.errors.AnalysisError`
+quarantine with a classified :class:`~repro.errors.AnalysisError`
 kind.  An exception escaping the pipeline unclassified, or a
 confident misidentification on a calibration-clean trace, is a
 fuzzer-found bug.

@@ -11,7 +11,7 @@ PASS
     ``misidentified-flagged`` wrong answer, but calibration flagged the
                               trace as damaged measurement
     ``quarantined:<kind>``    the flow errored with a *classified*
-                              :class:`~repro.core.errors.AnalysisError`
+                              :class:`~repro.errors.AnalysisError`
     ``consumed``              the primary connection never formed a flow,
                               and the ingest counters account for every
                               discarded packet

@@ -11,6 +11,7 @@ thousands if asked.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -93,7 +94,10 @@ def write_corpus(outdir: str | Path,
     starting at 0 for each label — so the layout is predictable from
     the generation parameters alone.  Each transfer is released once
     its two pcaps are on disk, so memory does not grow with the
-    corpus.
+    corpus.  Files of that layout that an earlier, larger run left
+    under a label written here (an index at or past this run's count)
+    are deleted, so the directory holds exactly this corpus for those
+    labels; nothing else in *outdir* is touched.
     """
     from repro.trace.pcap import write_pcap
 
@@ -115,6 +119,13 @@ def write_corpus(outdir: str | Path,
         written.append(WrittenCorpusEntry(
             implementation=entry.implementation, index=index,
             sender_path=sender_path, receiver_path=receiver_path))
+    for label, count in counters.items():
+        layout = re.compile(re.escape(label)
+                            + r"-(\d{4,})-(?:sender|receiver)\.pcap")
+        for path in outdir.iterdir():
+            match = layout.fullmatch(path.name)
+            if match and int(match.group(1)) >= count and path.is_file():
+                path.unlink()
     return written
 
 

@@ -9,12 +9,12 @@ machine-readable results and a Table-1-style summary.
 The resilience layer keeps corpus-scale runs alive through anything a
 single trace can do: :class:`PoolSession` survives worker crashes
 and enforces per-trace timeouts, every failure is quarantined as a
-classified :class:`~repro.core.errors.AnalysisError` payload instead
+classified :class:`~repro.errors.AnalysisError` payload instead
 of aborting the batch, and :class:`BatchJournal` checkpoints completed
 items durably so an interrupted run resumes where it stopped.
 """
 
-from repro.core.errors import ERROR_KINDS, AnalysisError, classify_exception
+from repro.errors import ERROR_KINDS, AnalysisError, classify_exception
 from repro.pipeline.cache import ResultCache, file_digest, trace_digest
 from repro.pipeline.journal import BatchJournal
 from repro.pipeline.lines import PayloadLine, encode_payload

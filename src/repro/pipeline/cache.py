@@ -45,16 +45,24 @@ def trace_digest(trace: Trace) -> str:
 
     Hashes every record field the analyzers consume, so two traces
     with identical records share a digest.  Batch keys its pcap
-    files by :func:`file_digest` instead.
+    files by :func:`file_digest` instead.  The fields are read from
+    the trace's packet columns, so no record is built; each row hashes
+    as the ``repr`` of its record's field tuple always did.
     """
     digest = hashlib.sha256()
     digest.update(trace.vantage.encode())
-    for record in trace.records:
-        digest.update(repr((
-            record.timestamp, str(record.src), str(record.dst),
-            record.seq, record.ack, record.flags, record.payload,
-            record.window, record.mss_option, record.corrupted,
-        )).encode())
+    packets = trace.packets()
+    names = [str(endpoint) for endpoint in packets.endpoints]
+    for row in zip(packets.timestamp.tolist(),
+                   [names[i] for i in packets.src.tolist()],
+                   [names[i] for i in packets.dst.tolist()],
+                   packets.seq.tolist(), packets.ack.tolist(),
+                   packets.flags.tolist(), packets.payload.tolist(),
+                   packets.window.tolist(),
+                   [None if mss < 0 else mss
+                    for mss in packets.mss_option.tolist()],
+                   packets.corrupted.tolist()):
+        digest.update(repr(row).encode())
     return digest.hexdigest()
 
 

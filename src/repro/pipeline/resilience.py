@@ -54,7 +54,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from repro.core.errors import AnalysisError, classify_exception
+from repro.errors import AnalysisError, classify_exception
 from repro.pipeline.lines import PayloadLine, encode_payload
 
 if TYPE_CHECKING:

@@ -11,6 +11,10 @@ optional on-disk result cache.  Capture bytes are the only input:
 wrote, so its results and cache entries are those of
 ``tcpanaly batch`` on that directory.
 
+The analysis units import the analyzer when they first run, so a
+``--jobs N`` parent that only schedules work and moves result lines
+never loads numpy or the analyzer; each worker loads them itself.
+
 Determinism contract: each trace's payload depends only on the trace
 content and the implementation catalog.  Results are returned sorted
 by trace name, so sequential runs (``jobs=1``), parallel runs, and
@@ -26,8 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.core.errors import classify_exception, is_durable
-from repro.core.report import analyze_trace
+from repro.errors import classify_exception, is_durable
 from repro.pipeline.cache import ResultCache, file_digest
 from repro.pipeline.journal import BatchJournal
 from repro.pipeline.lines import (
@@ -38,11 +41,7 @@ from repro.pipeline.lines import (
     parent_fields,
 )
 from repro.pipeline.resilience import PoolSession, error_line, run_guarded
-from repro.stream import build_flow_report, demux_records, flow_payload
-from repro.stream.reader import iter_pcap
-from repro.stream.stats import IngestStats
 from repro.tcp.catalog import CATALOG
-from repro.trace.pcap import read_pcap
 
 if TYPE_CHECKING:
     from repro.harness.faults import FaultPlan
@@ -160,6 +159,9 @@ def analyze_item(item: BatchItem) -> dict:
     classified error payload (``error_kind``: decode/io/model), so a
     damaged trace never aborts a corpus-scale run.
     """
+    from repro.core.report import analyze_trace
+    from repro.trace.pcap import read_pcap
+
     trace = read_pcap(item.path)
     report = analyze_trace(trace, identify=True)
     payload = {
@@ -194,10 +196,12 @@ def analyze_item_stream(item: BatchItem) -> list[PayloadLine]:
     on the flow count) and the ``ingest`` block, and join the others
     at the end (:func:`~repro.pipeline.lines.json_object`).
     """
+    from repro.stream.demux import build_flow_report, demux_pcap, flow_payload
+    from repro.stream.stats import IngestStats
+
     stats = IngestStats()
     encoded = []
-    for flow in demux_records(iter_pcap(item.path, stats=stats),
-                              stats=stats):
+    for flow in demux_pcap(item.path, stats=stats):
         flow_report = build_flow_report(flow, identify=True)
         # The name is a placeholder here: its member is replaced below.
         payload = flow_payload(flow_report, "",

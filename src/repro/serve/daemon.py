@@ -58,7 +58,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.errors import classify_exception
+from repro.errors import classify_exception
 from repro.harness.faults import FaultPlan, ResourceFaultPlan
 from repro.pipeline.journal import BatchJournal
 from repro.pipeline.lines import PayloadLine, encode_payload

@@ -18,7 +18,7 @@ Analysis failures ride the PR-5/6 taxonomy unchanged: a worker crash
 retries then quarantines as ``crash``, a hang is killed and
 quarantined as ``timeout``, and an in-worker analysis error comes
 back as a classified error payload.  Payloads of a transient kind
-(:data:`~repro.core.errors.TRANSIENT_KINDS`) are never journaled, so
+(:data:`~repro.errors.TRANSIENT_KINDS`) are never journaled, so
 a restart retries them.
 
 The scheduler is also where per-source fault isolation plugs in:
@@ -41,7 +41,7 @@ import zlib
 
 from typing import TYPE_CHECKING
 
-from repro.core.errors import AnalysisError, is_durable
+from repro.errors import AnalysisError, is_durable
 from repro.pipeline.cache import trace_digest
 from repro.pipeline.journal import BatchJournal
 from repro.pipeline.lines import PayloadLine, encode_payload

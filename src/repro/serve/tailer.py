@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.core.errors import AnalysisError
+from repro.errors import AnalysisError
 from repro.stream import Flow, FlowTable, IncrementalPcapReader, IngestStats
 
 #: Records consumed from one source per poll; bounds the time a single
@@ -139,14 +139,11 @@ class CaptureTailer:
         if self._check_rotation():
             return []
         completed: list[Flow] = []
-        consumed = 0
         try:
-            for record in self.reader.poll():
-                completed.extend(self.table.add(record))
-                consumed += 1
-                self.records_consumed += 1
-                if consumed >= self.records_per_poll:
-                    break
+            for packets in self.reader.poll_columns(
+                    limit=max(self.records_per_poll, 1)):
+                completed.extend(self.table.add_packets(packets))
+                self.records_consumed += len(packets)
         except ValueError as error:
             # Not a pcap (bad magic, unsupported strict link type):
             # the source is quarantined, not retried forever.
@@ -192,9 +189,9 @@ class CaptureTailer:
         self.finished = True
         completed: list[Flow] = []
         try:
-            for record in self.reader.finalize():
-                completed.extend(self.table.add(record))
-                self.records_consumed += 1
+            for packets in self.reader.finalize_columns():
+                completed.extend(self.table.add_packets(packets))
+                self.records_consumed += len(packets)
         except ValueError as error:
             self._fail(error)
             return completed

@@ -18,43 +18,41 @@ the system analyzes, with bounded memory:
   pipeline: capture in, per-connection :class:`FlowReport` out;
 - :class:`IngestStats` — the accounting layer every stage reports
   into.
+
+The names below load on first use (PEP 562): importing
+``repro.stream.stats`` alone does not pull in the analyzer behind
+:mod:`repro.stream.demux`.
 """
 
-from repro.stream.demux import (
-    FlowReport,
-    analyze_stream,
-    build_flow_report,
-    demux_pcap,
-    flow_payload,
-)
-from repro.stream.flowtable import (
-    ConnectionKey,
-    Flow,
-    FlowTable,
-    demux_records,
-)
-from repro.stream.reader import (
-    IncrementalPcapReader,
-    PcapHeader,
-    iter_pcap,
-    read_pcap_header,
-)
-from repro.stream.stats import IngestStats, IngestWarning
+import importlib
 
-__all__ = [
-    "ConnectionKey",
-    "Flow",
-    "FlowReport",
-    "FlowTable",
-    "IncrementalPcapReader",
-    "IngestStats",
-    "IngestWarning",
-    "PcapHeader",
-    "analyze_stream",
-    "build_flow_report",
-    "demux_pcap",
-    "demux_records",
-    "flow_payload",
-    "iter_pcap",
-    "read_pcap_header",
-]
+#: Re-exported name -> the submodule that defines it.
+_EXPORTS = {
+    "FlowReport": "demux",
+    "analyze_stream": "demux",
+    "build_flow_report": "demux",
+    "demux_pcap": "demux",
+    "flow_payload": "demux",
+    "ConnectionKey": "flowtable",
+    "Flow": "flowtable",
+    "FlowTable": "flowtable",
+    "demux_packets": "flowtable",
+    "demux_records": "flowtable",
+    "IncrementalPcapReader": "reader",
+    "PcapHeader": "reader",
+    "iter_pcap": "reader",
+    "iter_pcap_columns": "reader",
+    "read_pcap_header": "reader",
+    "IngestStats": "stats",
+    "IngestWarning": "stats",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -1,6 +1,6 @@
 """The streaming analysis front end: pcap → flows → TraceReports.
 
-Composes :func:`iter_pcap` (bounded-memory decode) with the
+Composes :func:`iter_pcap_columns` (bounded-memory decode) with the
 :class:`FlowTable` (4-tuple demux) and hands each completed flow to
 the existing ``analyze_trace`` machinery, so one large multi-
 connection capture fans out into per-connection reports exactly as if
@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from pathlib import Path as FilePath
 from typing import Iterator
 
-from repro.core.errors import AnalysisError, classify_exception
 from repro.core.report import TraceReport, analyze_trace
-from repro.stream.flowtable import Flow, demux_records
-from repro.stream.reader import iter_pcap
+from repro.errors import AnalysisError, classify_exception
+from repro.stream.flowtable import Flow, demux_packets
+from repro.stream.reader import iter_pcap_columns
 from repro.stream.stats import IngestStats
 from repro.trace.wire import AddressMap
 
@@ -48,7 +48,7 @@ class FlowReport:
             "flow": {
                 "connection": str(self.flow.key),
                 "index": self.flow.index,
-                "records": len(self.flow.records),
+                "records": self.flow.packet_count,
                 "close_reason": self.flow.close_reason,
                 "saw_syn": self.flow.saw_syn,
             },
@@ -88,7 +88,7 @@ def flow_payload(flow_report: FlowReport, trace_name: str,
     payload = {
         "trace": trace_name,
         "implementation": implementation,
-        "records": len(flow_report.flow.records),
+        "records": flow_report.flow.packet_count,
     }
     payload.update(flow_report.to_dict())
     return payload
@@ -105,8 +105,8 @@ def demux_pcap(path: str | FilePath,
     lifecycle counts, peak live flows).
     """
     stats = stats if stats is not None else IngestStats()
-    yield from demux_records(
-        iter_pcap(path, addresses=addresses, stats=stats),
+    yield from demux_packets(
+        iter_pcap_columns(path, addresses=addresses, stats=stats),
         stats=stats, **table_options)
 
 

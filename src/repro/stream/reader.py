@@ -1,11 +1,12 @@
-"""Incremental pcap ingest: one decoded record at a time, O(1) memory.
+"""Incremental pcap ingest: decoded packet columns, O(1) memory.
 
 ``read_pcap`` materializes a whole capture before anything can look at
 it — fine for a 100 KB transfer trace, hopeless for the multi-hour,
 multi-connection captures real packet filters produce (the paper's
-corpus alone was ~20,000 traces).  :func:`iter_pcap` is the streaming
-replacement: it decodes and yields each :class:`TraceRecord` as it is
-read, holds no more than one read chunk in memory, and degrades
+corpus alone was ~20,000 traces).  :func:`iter_pcap_columns` is the
+streaming replacement: it decodes each read chunk into
+:class:`~repro.trace.columns.PacketColumns` rows and yields them,
+holds no more than one read chunk in memory, and degrades
 gracefully where the eager reader raised — truncated trailing records
 become warning-carrying partial results, unknown link types become a
 structured warning plus a best-effort raw-IP decode, and non-TCP
@@ -16,9 +17,11 @@ it: a stateful reader that can be polled repeatedly against a file
 that is *still being written*.  A partially-written trailing record is
 never treated as damage mid-stream — the reader rewinds to the record
 boundary (the **resume offset**) and retries once more bytes land.
-Only :meth:`IncrementalPcapReader.finalize` applies the end-of-capture
-truncation semantics, which is what ``iter_pcap`` does implicitly at
-end of file.
+Only :meth:`IncrementalPcapReader.finalize_columns` applies the
+end-of-capture truncation semantics, which is what
+``iter_pcap_columns`` does implicitly at end of file.  :func:`iter_pcap`,
+:meth:`~IncrementalPcapReader.poll` and
+:meth:`~IncrementalPcapReader.finalize` are record adapters over them.
 
 All anomalies are reported through an optional :class:`IngestStats`;
 callers that pass none simply get the clean records.
@@ -38,10 +41,12 @@ from repro.trace.pcap import (
     PCAP_MAGIC,
     PCAP_MAGIC_SWAPPED,
 )
+from repro.trace.columns import PacketColumns
 from repro.trace.record import TraceRecord
 from repro.trace.wire import (
     RECORD_HEADER_LEN,
     AddressMap,
+    DecodedChunk,
     PacketDecodeError,
     decode_chunk,
     decode_packet,
@@ -54,7 +59,7 @@ GLOBAL_HEADER_LEN = 24
 #: How much pending capture a poll reads and batch-decodes at a time.
 #: Bounds memory for multi-GB captures while amortizing the per-call
 #: overhead of the vectorized decoder.
-CHUNK_BYTES = 4 << 20
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -167,32 +172,31 @@ class IncrementalPcapReader:
                             f"attempting raw-IP decode")
         return True
 
-    def poll(self) -> Iterator[TraceRecord]:
-        """Yield every record now fully on disk; hold partials back.
+    def poll_columns(self, limit: int | None = None
+                     ) -> Iterator[PacketColumns]:
+        """Yield the packets now fully on disk, a chunk of rows at a time.
 
-        Records are read and decoded a chunk at a time (so whole
-        batches decode vectorially; a record larger than a chunk
-        widens that read to cover it), but the resume offset and stats
-        commit per record, *before* that record's yield — abandoning
-        the generator mid-chunk leaves the reader positioned exactly
-        after the last record handed out, the same contract the
-        one-record-at-a-time loop provided.
+        Records are read and decoded a chunk at a time (a record larger
+        than a chunk widens that read to cover it); partials are held
+        back.  Each chunk's resume offset and stats are committed before
+        its rows are yielded, so abandoning the generator between
+        chunks leaves the reader positioned after the last rows handed
+        out.  With *limit*, at most that many rows come out of this
+        poll, and the reader stops right after the record of the last
+        one: the next poll resumes there.
         """
         if self._finalized:
             raise ValueError(f"{self.path}: reader already finalized")
         if not self._ensure_header():
             return
-        stats = self.stats
         handle = self._handle
-        endian = self.header.endian
-        unpack_incl_len = struct.Struct(endian + "I").unpack_from
+        unpack_incl_len = struct.Struct(self.header.endian + "I").unpack_from
         size = CHUNK_BYTES
         while True:
             handle.seek(self._offset)
             blob = handle.read(size)
-            # Walk every complete record in the chunk without
-            # committing anything yet; the decoder reads the rest of
-            # each record straight from the chunk.
+            # Walk every complete record in the chunk; the decoder
+            # reads the rest of each record straight from the chunk.
             end = len(blob)
             position = 0
             offsets: list[int] = []
@@ -212,34 +216,65 @@ class IncrementalPcapReader:
                             if end >= RECORD_HEADER_LEN else 0)
                 size = max(CHUNK_BYTES, RECORD_HEADER_LEN + incl_len)
                 continue
-            for incl_len, outcome in decode_chunk(
-                    blob, offsets, endian, self._strip, self.addresses):
-                self._offset += RECORD_HEADER_LEN + incl_len
-                self._index += 1
-                stats.packets_seen += 1
-                stats.bytes_seen += incl_len
-                if isinstance(outcome, PacketDecodeError):
-                    if outcome.kind == "non-tcp":
-                        stats.non_tcp_packets += 1
-                        stats.warn("non-tcp", str(outcome), self._index)
-                    else:
-                        stats.decode_errors += 1
-                        stats.warn("decode-error", str(outcome), self._index)
-                    continue
-                stats.records_decoded += 1
-                yield outcome
-            if end < size:
-                return            # consumed all bytes on disk at read time
+            # Each chunk interns its own endpoints, so what the reader
+            # holds does not grow with the capture's distinct endpoints.
+            decoded = decode_chunk(blob, offsets, self.header.endian,
+                                   self._strip, self.addresses)
             del blob, offsets     # free this chunk before the next read
+            packets = decoded.packets
+            records = len(decoded.incl_len)
+            stop = limit is not None and len(packets) >= limit
+            if stop:
+                # End this poll after the record carrying the last row.
+                records = int(decoded.row_positions()[limit - 1]) + 1
+                packets = packets.head(limit)
+            elif limit is not None:
+                limit -= len(packets)
+            self._commit(decoded, records)
+            del decoded           # the consumer holds the rows it keeps
+            if len(packets):
+                yield packets
+            del packets
+            if stop or end < size:
+                return            # limit reached, or all bytes on disk read
             size = CHUNK_BYTES
 
-    def finalize(self) -> Iterator[TraceRecord]:
+    def _commit(self, decoded: DecodedChunk, records: int) -> None:
+        """Account the first *records* records of a decoded chunk."""
+        stats = self.stats
+        lengths = decoded.incl_len[:records]
+        captured = int(lengths.sum())
+        self._offset += RECORD_HEADER_LEN * records + captured
+        stats.packets_seen += records
+        stats.bytes_seen += captured
+        failed = 0
+        for position, error in decoded.errors:
+            if position >= records:
+                break
+            failed += 1
+            index = self._index + 1 + position
+            if error.kind == "non-tcp":
+                stats.non_tcp_packets += 1
+                stats.warn("non-tcp", str(error), index)
+            else:
+                stats.decode_errors += 1
+                stats.warn("decode-error", str(error), index)
+        stats.records_decoded += records - failed
+        self._index += records
+
+    def poll(self) -> Iterator[TraceRecord]:
+        """:meth:`poll_columns`, one record at a time (an adapter)."""
+        for packets in self.poll_columns():
+            yield from packets.records()
+
+    def finalize_columns(self) -> Iterator[PacketColumns]:
         """Declare end-of-capture; apply truncated-trailer semantics.
 
         Whatever trailing bytes remain unconsumed are now damage, not
         an in-progress write: a cut-short record header warns; a
         cut-short payload decodes without checksum verification and is
-        yielded as a partial result when its packet headers survive.
+        yielded as a partial result (one row) when its packet headers
+        survive.
         """
         if self._finalized:
             return
@@ -282,7 +317,12 @@ class IncrementalPcapReader:
         record = self._decode(data, seconds, micros, expected=incl_len)
         self.close()
         if record is not None:
-            yield record
+            yield PacketColumns.from_records([record])
+
+    def finalize(self) -> Iterator[TraceRecord]:
+        """:meth:`finalize_columns`, as records (an adapter)."""
+        for packets in self.finalize_columns():
+            yield from packets.records()
 
     def _decode(self, data: bytes, seconds: int, micros: int,
                 expected: int) -> TraceRecord | None:
@@ -319,15 +359,16 @@ class IncrementalPcapReader:
             self._handle = None
 
 
-def iter_pcap(path: str | FilePath,
-              addresses: AddressMap | None = None,
-              stats: IngestStats | None = None,
-              strict: bool = False) -> Iterator[TraceRecord]:
-    """Yield each decoded TCP record of a pcap file, one at a time.
+def iter_pcap_columns(path: str | FilePath,
+                      addresses: AddressMap | None = None,
+                      stats: IngestStats | None = None,
+                      strict: bool = False) -> Iterator[PacketColumns]:
+    """Yield the decoded TCP packets of a pcap file, a chunk of rows at
+    a time.
 
     Memory use is O(1) in the capture length: at most one
-    ``CHUNK_BYTES`` read, plus one decode pass over it, is held
-    between yields.  Damage tolerance:
+    ``CHUNK_BYTES`` read, plus its decoded rows, is held between
+    yields.  Damage tolerance:
 
     - a truncated trailing record decodes with checksum verification
       off and is yielded as a partial result (plus a
@@ -350,7 +391,18 @@ def iter_pcap(path: str | FilePath,
             if reader._handle is None:
                 open(path, "rb").close()   # surface FileNotFoundError
             raise ValueError(f"{path}: too short to be a pcap file")
-        yield from reader.poll()
-        yield from reader.finalize()
+        yield from reader.poll_columns()
+        yield from reader.finalize_columns()
     finally:
         reader.close()
+
+
+def iter_pcap(path: str | FilePath,
+              addresses: AddressMap | None = None,
+              stats: IngestStats | None = None,
+              strict: bool = False) -> Iterator[TraceRecord]:
+    """:func:`iter_pcap_columns`, one :class:`TraceRecord` at a time:
+    the adapter for callers that want records."""
+    for packets in iter_pcap_columns(path, addresses=addresses,
+                                     stats=stats, strict=strict):
+        yield from packets.records()

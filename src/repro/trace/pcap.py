@@ -114,19 +114,23 @@ def read_pcap(path: str | FilePath,
               vantage: str = "", filter_name: str = "") -> Trace:
     """Read a pcap file into a :class:`Trace`.
 
-    A thin eager wrapper over :func:`repro.stream.reader.iter_pcap` —
-    one decode code path for both byte orders and for streaming and
-    materialized reads.  Non-TCP and mangled packets are skipped (as a
-    capture filter would drop them); a truncated final record is kept
-    as a partial result when its headers survive.
+    A thin eager wrapper over
+    :func:`repro.stream.reader.iter_pcap_columns` — one decode code
+    path for both byte orders and for streaming and materialized
+    reads; the trace is born from the decoded columns.  Non-TCP and
+    mangled packets are skipped (as a capture filter would drop them);
+    a truncated final record is kept as a partial result when its
+    headers survive.
 
     Truncated packets (snaplen captures) decode with
     ``verify_checksum`` disabled, so their ``corrupted`` flag is
     always False — the analyzer must infer corruption, as the paper
     describes for header-only traces.
     """
-    from repro.stream.reader import iter_pcap
+    from repro.stream.reader import iter_pcap_columns
+    from repro.trace.columns import PacketColumns
 
-    records = list(iter_pcap(path, addresses=addresses, strict=True))
-    return Trace(records=records, vantage=vantage, filter_name=filter_name,
-                 reported_drops=None)
+    packets = PacketColumns.concat(list(iter_pcap_columns(
+        path, addresses=addresses, strict=True)))
+    return Trace.from_columns(packets, vantage=vantage,
+                              filter_name=filter_name, reported_drops=None)

@@ -110,24 +110,52 @@ class Trace:
     ``reported_drops`` is what the *filter* claims about its own drops
     — which, per §3.1.1, may be absent (None), accurate, or a lie.
     ``vantage`` names where the filter sat (e.g. ``"sender"``).
+
+    A trace is born either from records (``Trace(records=...)``) or
+    from packet columns (:meth:`from_columns`, the decode path); a
+    trace born from columns builds its ``records`` list only when
+    something first reads it (``records`` is a property over both).
     """
 
     records: list[TraceRecord] = field(default_factory=list)
     vantage: str = ""
     filter_name: str = ""
     reported_drops: int | None = None
+    #: The ``PacketColumns`` a decoded trace was born from.
+    _packets: object = field(default=None, init=False, repr=False,
+                             compare=False)
     #: Lazily-built columnar view (:mod:`repro.trace.columns`); the
     #: flow-partition accessors below memoize their scans through it.
     _columns: object = field(default=None, init=False, repr=False,
                              compare=False)
 
+    @classmethod
+    def from_columns(cls, packets, vantage: str = "", filter_name: str = "",
+                     reported_drops: int | None = None) -> "Trace":
+        """A trace of decoded packet columns (a ``PacketColumns``)."""
+        trace = cls(vantage=vantage, filter_name=filter_name,
+                    reported_drops=reported_drops)
+        trace._records = None
+        trace._packets = packets
+        return trace
+
     def columns(self):
         """The columnar view of this trace (built once, cached)."""
+        if self._records is None and self._columns is not None:
+            return self._columns      # born from columns: never stale
         from repro.trace.columns import columns_of
         return columns_of(self)
 
+    def packets(self):
+        """This trace's rows as ``PacketColumns``."""
+        if self._records is None:
+            return self._packets
+        return self.columns().packets
+
     def __len__(self) -> int:
-        return len(self.records)
+        if self._records is not None:
+            return len(self._records)
+        return len(self._packets)
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
@@ -137,7 +165,11 @@ class Trace:
 
     @property
     def start_time(self) -> float:
-        return self.records[0].timestamp if self.records else 0.0
+        if not len(self):
+            return 0.0
+        if self._records is not None:
+            return self._records[0].timestamp
+        return float(self._packets.timestamp[0])
 
     def flows(self) -> set[FlowKey]:
         return set(self.columns().flows)
@@ -202,6 +234,23 @@ class Trace:
         lines = [r.describe(base) for r in
                  (self.records if limit is None else self.records[:limit])]
         return "\n".join(lines)
+
+
+def _records(trace: Trace) -> list[TraceRecord]:
+    if trace._records is None:
+        trace._records = trace.columns().materialize()
+    return trace._records
+
+
+def _set_records(trace: Trace, records: list[TraceRecord]) -> None:
+    trace._records = records
+    trace._packets = None
+    trace._columns = None
+
+
+# A property over the ``records`` field: set by ``__init__`` (and
+# ``dataclasses.replace``), built from the columns on first read.
+Trace.records = property(_records, _set_records)
 
 
 def trace_from_segments(pairs: Iterable[tuple[Segment, float]],

@@ -16,11 +16,12 @@ for decoding.
 from __future__ import annotations
 
 import struct
-from typing import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.packets import Endpoint
+from repro.trace.columns import EndpointTable, PacketColumns
 from repro.trace.record import TraceRecord
 
 IP_HEADER_LEN = 20
@@ -238,19 +239,41 @@ def decode_packet(data: bytes, timestamp: float,
         packet_id=packet_id)
 
 
+class DecodedChunk(NamedTuple):
+    """What :func:`decode_chunk` made of a chunk's records.
+
+    ``incl_len`` holds each record's captured length, in record order;
+    ``errors`` the ``(record position, PacketDecodeError)`` of every
+    record that did not decode, in order; ``packets`` one row per
+    record that did, in record order.
+    """
+
+    incl_len: "np.ndarray"
+    errors: list[tuple[int, PacketDecodeError]]
+    packets: PacketColumns
+
+    def row_positions(self) -> "np.ndarray":
+        """The record position of each row of ``packets``."""
+        keep = np.ones(len(self.incl_len), dtype=bool)
+        keep[[position for position, _ in self.errors]] = False
+        return np.flatnonzero(keep)
+
+
 def decode_chunk(chunk: bytes, offsets: list[int], endian: str, strip: int,
-                 addresses: AddressMap | None = None
-                 ) -> Iterator[tuple[int, TraceRecord | PacketDecodeError]]:
+                 addresses: AddressMap | None = None,
+                 table: EndpointTable | None = None) -> DecodedChunk:
     """Decode whole pcap records straight from the buffer they were read into.
 
     *offsets* are the byte offsets within *chunk* of complete records
     (a pcap record header plus its ``incl_len`` captured bytes),
     *endian* is the capture's struct prefix and *strip* the link-layer
-    header length to skip.  Yields, per record in order, its
-    ``incl_len`` and the :class:`TraceRecord` :func:`decode_packet`
-    returns for its packet, or the :class:`PacketDecodeError` it
-    raises; checksums are verified for records captured whole
-    (``incl_len >= orig_len``), as the reader always did.
+    header length to skip.  Every record becomes either one row of the
+    result's packet columns, holding exactly the fields
+    :func:`decode_packet` returns for its packet, or the
+    :class:`PacketDecodeError` it raises; checksums are verified for
+    records captured whole (``incl_len >= orig_len``), as the reader
+    always did.  Endpoints are interned in *table* (a fresh one when
+    None), which a reader shares across its chunks.
 
     "Simple" packets — IPv4 without IP options, TCP, headers fully
     captured, option area empty or exactly one MSS option — decode in
@@ -258,11 +281,12 @@ def decode_chunk(chunk: bytes, offsets: list[int], endian: str, strip: int,
     of *chunk* at the record offsets, and each TCP segment's checksum
     is summed in place.  Every other packet (IP options, other TCP
     options, anything malformed) is decoded by :func:`decode_packet`
-    on its slice of *chunk*, so records, error kinds and messages are
-    identical to a per-packet loop.  Work proceeds in passes over
-    ``DECODE_SPAN_BYTES`` of the chunk, so the arrays and records in
-    flight stay small beside the chunk itself.
+    on its slice of *chunk* and becomes one more row, so rows, error
+    kinds and messages are identical to a per-packet loop.  Work
+    proceeds in passes over ``DECODE_SPAN_BYTES`` of the chunk, so the
+    temporary arrays stay small beside the chunk itself.
     """
+    table = table if table is not None else EndpointTable()
     octets = np.frombuffer(chunk, dtype=np.uint8)
     # The big-endian 16-bit words at both byte parities: a segment
     # starting at byte x is summed over words[x & 1] from x >> 1.
@@ -272,32 +296,39 @@ def decode_chunk(chunk: bytes, offsets: list[int], endian: str, strip: int,
     starts = np.asarray(offsets, dtype=np.int64)
     cuts = np.searchsorted(starts, np.arange(
         DECODE_SPAN_BYTES, len(chunk), DECODE_SPAN_BYTES)).tolist()
-    # One lookup per record for its (source, destination) endpoints.
-    endpoints: dict = {}
+    lengths, errors, blocks = [], [], []
     first = 0
     for last in cuts + [len(starts)]:
         if last > first:
-            yield from _decode_span(chunk, octets, words, starts[first:last],
-                                    endian == "<", strip, addresses,
-                                    endpoints)
+            incl_len, span_errors, packets = _decode_span(
+                chunk, octets, words, starts[first:last], endian == "<",
+                strip, addresses, table)
+            lengths.append(incl_len)
+            errors.extend((first + position, error)
+                          for position, error in span_errors)
+            blocks.append(packets)
             first = last
+    if not blocks:
+        return DecodedChunk(np.empty(0, dtype=np.int64), [],
+                            PacketColumns.empty(table.endpoints))
+    return DecodedChunk(np.concatenate(lengths), errors,
+                        PacketColumns.concat(blocks))
 
 
 def _decode_span(chunk, octets, words, starts, little, strip, addresses,
-                 endpoints) -> Iterator[tuple[int, TraceRecord
-                                              | PacketDecodeError]]:
+                 table) -> tuple:
     """One vectorized pass of :func:`decode_chunk` over *starts*."""
 
     def field(at, width, little=False) -> "np.ndarray":
         return _gather(octets, at, width, little)
 
+    n = len(starts)
     incl_len = field(starts + 8, 4, little)
     timestamps = field(starts, 4, little) + field(starts + 4, 4, little) / 1e6
     verify = incl_len >= field(starts + 12, 4, little)
     ip = starts + (RECORD_HEADER_LEN + strip)
     length = incl_len - strip                 # captured datagram bytes
-    results: list = [None] * len(starts)
-    simple = np.zeros(len(starts), dtype=bool)
+    simple = np.zeros(n, dtype=bool)
 
     candidate = np.flatnonzero(length >= IP_HEADER_LEN + TCP_HEADER_LEN)
     s = ip[candidate]
@@ -325,32 +356,35 @@ def _decode_span(chunk, octets, words, starts, little, strip, addresses,
     simple[handled] = True
     s, t, total_len, tcp_len = s[rows], t[rows], total_len[rows], tcp_len[rows]
 
-    corrupted = np.zeros(len(rows), dtype=bool)
+    corrupted = np.zeros(n, dtype=bool)
     check = np.flatnonzero(verify[handled] & (length[handled] >= total_len))
     if check.size:
-        corrupted[check] = _checksum_fails(octets, words, s[check],
-                                           tcp_len[check])
+        corrupted[handled[check]] = _checksum_fails(
+            octets, words, s[check], tcp_len[check])
 
-    for (i, timestamp, src, dst, seq, ack, flags, payload, window, rmss,
-         damaged, packet_id) in zip(
-            handled.tolist(), timestamps[handled].tolist(),
-            ((field(s + 12, 4) << 16) | field(t, 2)).tolist(),
-            ((field(s + 16, 4) << 16) | field(t + 2, 2)).tolist(),
-            field(t + 4, 4).tolist(), field(t + 8, 4).tolist(),
-            octets[t + 13].tolist(),
-            np.maximum(total_len - IP_HEADER_LEN
-                       - header_len[rows], 0).tolist(),
-            field(t + 14, 2).tolist(), mss[rows].tolist(),
-            corrupted.tolist(), field(s + 4, 2).tolist()):
-        pair = endpoints.get((src, dst))
-        if pair is None:
-            pair = endpoints[src, dst] = (_endpoint(src, addresses),
-                                          _endpoint(dst, addresses))
-        results[i] = TraceRecord(timestamp, pair[0], pair[1], seq, ack,
-                                 flags, payload, window,
-                                 None if rmss < 0 else rmss, damaged,
-                                 packet_id)
+    src = np.empty(n, dtype=np.int32)
+    dst = np.empty(n, dtype=np.int32)
+    src[handled] = _endpoint_indices(
+        table, (field(s + 12, 4) << 16) | field(t, 2), addresses)
+    dst[handled] = _endpoint_indices(
+        table, (field(s + 16, 4) << 16) | field(t + 2, 2), addresses)
+    seq = np.empty(n, dtype=np.int64)
+    seq[handled] = field(t + 4, 4)
+    ack = np.empty(n, dtype=np.int64)
+    ack[handled] = field(t + 8, 4)
+    flags = np.empty(n, dtype=np.uint8)
+    flags[handled] = octets[t + 13]
+    payload = np.empty(n, dtype=np.int32)
+    payload[handled] = np.maximum(total_len - IP_HEADER_LEN
+                                  - header_len[rows], 0)
+    window = np.empty(n, dtype=np.int32)
+    window[handled] = field(t + 14, 2)
+    mss_option = np.empty(n, dtype=np.int32)
+    mss_option[handled] = mss[rows]
+    packet_id = np.empty(n, dtype=np.int32)
+    packet_id[handled] = field(s + 4, 2)
 
+    errors = []
     fallback = np.flatnonzero(~simple)
     for i, timestamp, begin, end, checked in zip(
             fallback.tolist(), timestamps[fallback].tolist(),
@@ -359,11 +393,40 @@ def _decode_span(chunk, octets, words, starts, little, strip, addresses,
              + incl_len[fallback]).tolist(),
             verify[fallback].tolist()):
         try:
-            results[i] = decode_packet(chunk[begin:end], timestamp,
-                                       addresses, checked)
+            record = decode_packet(chunk[begin:end], timestamp, addresses,
+                                   checked)
         except PacketDecodeError as error:
-            results[i] = error
-    yield from zip(incl_len.tolist(), results)
+            errors.append((i, error))
+            continue
+        src[i] = table.index(record.src)
+        dst[i] = table.index(record.dst)
+        seq[i], ack[i], flags[i] = record.seq, record.ack, record.flags
+        payload[i], window[i] = record.payload, record.window
+        mss_option[i] = -1 if record.mss_option is None \
+            else record.mss_option
+        corrupted[i], packet_id[i] = record.corrupted, record.packet_id
+    packets = PacketColumns(table.endpoints, timestamps, src, dst, seq, ack,
+                            flags, payload, window, mss_option, corrupted,
+                            packet_id)
+    if errors:
+        keep = np.ones(n, dtype=bool)
+        keep[[i for i, _ in errors]] = False
+        packets = packets.take(np.flatnonzero(keep))
+    return incl_len, errors, packets
+
+
+def _endpoint_indices(table: EndpointTable, keys: "np.ndarray",
+                      addresses: AddressMap | None) -> "np.ndarray":
+    """The *table* index of each ``ip << 16 | port`` key."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    by_key = table.by_key
+    lookup = np.empty(len(distinct), dtype=np.int32)
+    for j, key in enumerate(distinct.tolist()):
+        found = by_key.get(key)
+        if found is None:
+            found = by_key[key] = table.index(_endpoint(key, addresses))
+        lookup[j] = found
+    return lookup[inverse.reshape(len(keys))]
 
 
 def _gather(octets, at, width, little=False) -> "np.ndarray":

@@ -986,8 +986,9 @@ class TestSlots:
     def test_classification_is_slotted(self):
         from repro.core.sender.analyzer import Classification
         record = cached_transfer("reno", "wan").sender_trace.records[0]
-        classification = Classification(record, "new")
+        classification = Classification([record], 0, "new")
         assert not hasattr(classification, "__dict__")
+        assert classification.record is record
 
     def test_slotted_records_still_pickle(self):
         # Batch workers ship traces across process boundaries.

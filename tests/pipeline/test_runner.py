@@ -191,7 +191,8 @@ class TestErrorClassification:
                                                       exception):
         def explode(*args, **kwargs):
             raise exception
-        monkeypatch.setattr("repro.pipeline.runner.analyze_trace", explode)
+        # The eager unit imports the analyzer when it runs.
+        monkeypatch.setattr("repro.core.report.analyze_trace", explode)
         batch = run_batch(corpus_items(corpus_dir), jobs=1)
         for result in batch.results:
             assert result.payload["error_kind"] == "model"

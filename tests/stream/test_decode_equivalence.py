@@ -11,6 +11,7 @@ gives frame by frame, down to error kinds, messages and
 ``IngestStats``, for any chunk and decode-span size.
 """
 
+import json
 import struct
 import tempfile
 from pathlib import Path
@@ -151,6 +152,15 @@ def pcap_records(capture) -> tuple[bytes, list[int], list[tuple]]:
     return blob, offsets, expected
 
 
+def outcomes(decoded) -> list[tuple]:
+    """A decoded chunk as per record ``(incl_len, outcome)``: each
+    error at its position, each row's record in between."""
+    errors = dict(decoded.errors)
+    rows = iter(decoded.packets.records())
+    return [(incl_len, errors[i] if i in errors else next(rows))
+            for i, incl_len in enumerate(decoded.incl_len.tolist())]
+
+
 def same(outcome, reference) -> bool:
     if isinstance(reference, PacketDecodeError):
         return (isinstance(outcome, PacketDecodeError)
@@ -166,8 +176,8 @@ def test_decode_chunk_matches_decode_packet(capture):
     strip = len(ETHERNET_HEADER) if capture["ethernet"] else 0
     with mock.patch.object(wire, "DECODE_SPAN_BYTES",
                            capture["span_bytes"]):
-        decoded = list(decode_chunk(blob, offsets, capture["endian"], strip,
-                                    addresses()))
+        decoded = outcomes(decode_chunk(blob, offsets, capture["endian"],
+                                        strip, addresses()))
     assert [incl_len for incl_len, _ in decoded] \
         == [incl_len for incl_len, _ in expected]
     for (_, outcome), (_, want) in zip(decoded, expected):
@@ -210,3 +220,251 @@ def test_reader_matches_decode_packet(capture):
     assert stats.to_dict() == want.to_dict()
     assert [(w.kind, w.detail, w.packet_index) for w in stats.warnings] \
         == [(w.kind, w.detail, w.packet_index) for w in want.warnings]
+
+
+# ---------------------------------------------------------------------------
+# The column path against the record path it replaced.
+#
+# Decode ends in packet columns, the flow table demultiplexes rows and
+# a trace is born from a flow's rows.  The oracles below are the
+# record-path code this replaced, kept here as it was: ``TraceColumns``
+# filled by one loop over records, with flow ids by first occurrence,
+# and a flow table fed one record at a time.
+
+
+def record_columns(records) -> dict:
+    """Oracle: the per-record fill loop and flow-id assignment."""
+    flows, index, ids = [], {}, []
+    for record in records:
+        key = (record.src, record.dst)
+        if key not in index:
+            index[key] = len(flows)
+            flows.append(record.flow)
+        ids.append(index[key])
+    return {
+        "flows": flows, "flow_ids": ids,
+        "timestamp": [r.timestamp for r in records],
+        "seq": [r.seq for r in records], "ack": [r.ack for r in records],
+        "flags": [r.flags for r in records],
+        "payload": [r.payload for r in records],
+        "window": [r.window for r in records],
+        "mss_option": [-1 if r.mss_option is None else r.mss_option
+                       for r in records],
+        "corrupted": [r.corrupted for r in records],
+        "packet_id": [r.packet_id for r in records],
+        "seq_end": [r.seq_end for r in records],
+    }
+
+
+def record_demux(records, stats) -> list[dict]:
+    """Oracle: the record-at-a-time flow table, with its defaults."""
+    from repro.packets import ACK, FIN, RST, SYN
+    from repro.stream.flowtable import (
+        DEFAULT_IDLE_TIMEOUT, DEFAULT_MAX_FLOWS, DEFAULT_TIME_WAIT,
+        EXPIRY_GRANULARITY, ConnectionKey)
+
+    live: dict = {}
+    done: list[dict] = []
+    last_expiry = None
+
+    def retire(flow, reason):
+        flow["close_reason"] = reason
+        del live[flow["key"]]
+        stats.flow_retired(reason)
+        done.append(flow)
+
+    for record in records:
+        now = record.timestamp
+        if last_expiry is None or now - last_expiry >= EXPIRY_GRANULARITY:
+            last_expiry = now
+            for flow in list(live.values()):
+                if flow["closing_at"] is not None \
+                        and now - flow["closing_at"] >= DEFAULT_TIME_WAIT:
+                    retire(flow, flow["close_pending"])
+                elif now - flow["last_seen"] >= DEFAULT_IDLE_TIMEOUT:
+                    retire(flow, "idle")
+        key = ConnectionKey.of(record.src, record.dst)
+        flow = live.get(key)
+        if flow is not None and flow["closing_at"] is not None \
+                and record.flags & (SYN | ACK) == SYN:
+            retire(flow, flow["close_pending"] or "fin")
+            flow = None
+        if flow is None:
+            if not record.flags & SYN:
+                stats.orphan_packets += 1
+                continue
+            flow = {"key": key, "index": stats.flows_opened,
+                    "records": [], "saw_syn": False, "fins": set(),
+                    "closing_at": None, "close_pending": "",
+                    "last_seen": now}
+            live[key] = flow
+            stats.flow_opened()
+            while len(live) > DEFAULT_MAX_FLOWS:
+                retire(next(iter(live.values())), "evicted")
+        else:
+            del live[key]
+            live[key] = flow
+        flow["records"].append(record)
+        flow["last_seen"] = now
+        if record.flags & SYN:
+            flow["saw_syn"] = True
+        if record.flags & RST:
+            flow["close_pending"], flow["closing_at"] = "rst", now
+        elif record.flags & FIN:
+            flow["fins"].add(record.flow)
+        elif len(flow["fins"]) >= 2 and record.is_pure_ack:
+            flow["close_pending"], flow["closing_at"] = "fin", now
+    for flow in sorted(live.values(), key=lambda f: f["index"]):
+        retire(flow, flow["close_pending"] or "eof")
+    return sorted(done, key=lambda f: f["index"])
+
+
+def assert_column_path_matches(path, addresses=None):
+    from repro.stream import demux_pcap, iter_pcap_columns
+    from repro.trace.columns import PacketColumns
+    from repro.trace.record import Trace
+
+    reference_stats = IngestStats()
+    records = list(iter_pcap(path, addresses=addresses,
+                             stats=reference_stats))
+    want = record_columns(records)
+    packets = PacketColumns.concat(list(iter_pcap_columns(
+        path, addresses=addresses)))
+    trace = Trace.from_columns(packets)
+    columns = trace.columns()
+    assert columns.flows == want["flows"]
+    assert columns.flow_ids.tolist() == want["flow_ids"]
+    for name in ("timestamp", "seq", "ack", "flags", "payload", "window",
+                 "mss_option", "corrupted", "seq_end"):
+        assert getattr(columns, name).tolist() == want[name], name
+    assert packets.packet_id.tolist() == want["packet_id"]
+    assert trace._records is None           # nothing built them yet
+    assert trace.records == records
+
+    expected = record_demux(records, reference_stats)
+    stats = IngestStats()
+    flows = list(demux_pcap(path, addresses=addresses, stats=stats))
+    assert [(f.index, str(f.key), f.close_reason, f.saw_syn,
+             f.packet_count) for f in flows] \
+        == [(f["index"], str(f["key"]), f["close_reason"], f["saw_syn"],
+             len(f["records"])) for f in expected]
+    for flow, reference in zip(flows, expected):
+        assert flow.to_trace().records == reference["records"]
+    assert stats.to_dict() == reference_stats.to_dict()
+    assert [(w.kind, w.detail, w.packet_index) for w in stats.warnings] \
+        == [(w.kind, w.detail, w.packet_index)
+            for w in reference_stats.warnings]
+
+
+def test_columns_match_records_on_fuzz_captures(tmp_path):
+    from repro.fuzz.generator import iter_plans
+    from repro.fuzz.ingredients import render_pcap
+    from repro.fuzz.runner import build_capture
+
+    for plan in iter_plans(0, 60):
+        frames, names, _key, _label = build_capture(plan)
+        path = tmp_path / f"plan-{plan.seed}.pcap"
+        path.write_bytes(render_pcap(frames))
+        assert_column_path_matches(path, names)
+
+
+def interleaved_trace():
+    """Six connections interleaved, each client on an address whose
+    text sorts before the server's while its number sorts after
+    (``10.0.0.1x`` against ``10.0.0.9``)."""
+    from dataclasses import replace
+
+    from repro.harness.corpus import interleave_traces
+    from repro.packets import Endpoint
+    from tests.conftest import cached_transfer
+
+    traces, labels = [], []
+    for i, (label, scenario) in enumerate([
+            ("reno", "wan"), ("linux-1.0", "wan-lossy"), ("tahoe", "lan"),
+            ("reno", "wan-lossy"), ("solaris-2.4", "wan"),
+            ("linux-1.0", "lan")]):
+        transfer = cached_transfer(label, scenario, data_size=8192)
+        trace = transfer.sender_trace if i % 2 else transfer.receiver_trace
+        client = trace.records[0].src.addr
+
+        def move(endpoint, client=client, i=i):
+            host = f"10.0.0.{10 + i}" if endpoint.addr == client \
+                else "10.0.0.9"
+            return Endpoint(host, endpoint.port)
+
+        traces.append(replace(trace, records=[
+            replace(r, src=move(r.src), dst=move(r.dst))
+            for r in trace.records]))
+        labels.append(label)
+    return interleave_traces(traces, labels, start_interval=0.05).trace
+
+
+def to_ethernet(blob: bytes) -> bytes:
+    """A raw-IP pcap (big-endian) re-framed with Ethernet headers."""
+    header = bytearray(blob[:24])
+    header[20:24] = struct.pack(">I", LINKTYPE_ETHERNET)
+    out, at = [bytes(header)], 24
+    while at + 16 <= len(blob):
+        seconds, micros, incl_len, orig_len = struct.unpack(
+            ">IIII", blob[at:at + 16])
+        out.append(struct.pack(">IIII", seconds, micros,
+                               incl_len + len(ETHERNET_HEADER),
+                               orig_len + len(ETHERNET_HEADER)))
+        out.append(ETHERNET_HEADER + blob[at + 16:at + 16 + incl_len])
+        at += 16 + incl_len
+    return b"".join(out)
+
+
+def test_columns_match_records_on_interleaved_captures(tmp_path):
+    from repro.trace.pcap import write_pcap
+
+    trace = interleaved_trace()
+    big = tmp_path / "big.pcap"
+    write_pcap(trace, big)
+    write_pcap(trace, tmp_path / "little.pcap", byte_order="little")
+    write_pcap(trace, tmp_path / "snap64.pcap", snaplen=64)
+    blob = big.read_bytes()
+    (tmp_path / "ethernet.pcap").write_bytes(to_ethernet(blob))
+    (tmp_path / "torn.pcap").write_bytes(blob[:-7])
+    (tmp_path / "torn-header.pcap").write_bytes(
+        blob + struct.pack(">II", 1, 2))
+    for name in ("big", "little", "snap64", "ethernet", "torn",
+                 "torn-header"):
+        assert_column_path_matches(tmp_path / f"{name}.pcap")
+    # Many chunks and spans: rows of one flow cross batch boundaries.
+    with mock.patch.object(reader_module, "CHUNK_BYTES", 4096), \
+            mock.patch.object(wire, "DECODE_SPAN_BYTES", 1024):
+        assert_column_path_matches(big)
+
+
+def test_stream_analysis_builds_records_only_where_read(tmp_path,
+                                                       monkeypatch):
+    """Decode, demux and column building build no ``TraceRecord``; a
+    whole streamed analysis of a clean capture builds only the
+    handshake records pass one reads (a sender flow's SYN and SYN-ACK,
+    a receiver flow's SYN)."""
+    from repro.pipeline.runner import BatchItem, analyze_item_stream
+    from repro.stream import demux_pcap
+    from repro.trace.pcap import write_pcap
+    from repro.trace.record import TraceRecord
+
+    path = tmp_path / "capture.pcap"
+    write_pcap(interleaved_trace(), path)
+    built = []
+    init = TraceRecord.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TraceRecord, "__init__", counting)
+    flows = list(demux_pcap(path))
+    for flow in flows:
+        flow.to_trace().columns()
+    assert len(flows) == 6 and built == []
+
+    lines = analyze_item_stream(BatchItem(path.name, path))
+    vantages = [json.loads(line.line)["vantage"] for line in lines]
+    assert "receiver" in vantages and "sender" in vantages
+    assert len(built) == sum(2 if vantage == "sender" else 1
+                             for vantage in vantages)

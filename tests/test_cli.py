@@ -174,6 +174,30 @@ class TestCorpusCommand:
 
         assert aggregate(corpus_out) == aggregate(batch_out)
 
+    def test_analyze_ignores_an_earlier_larger_run(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        assert main(["corpus", str(corpus), "--implementations", "reno",
+                     "--per-implementation", "2", "--size", "10240"]) == 0
+        capsys.readouterr()
+        assert main(["corpus", str(corpus), "--implementations", "reno",
+                     "--per-implementation", "1", "--size", "10240",
+                     "--analyze"]) == 0
+        assert "traces analyzed: 2" in capsys.readouterr().out
+        assert sorted(p.name for p in corpus.iterdir()) == [
+            "reno-0000-receiver.pcap", "reno-0000-sender.pcap"]
+
+    def test_rewrite_leaves_other_files_alone(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        corpus.mkdir()
+        others = ["tahoe-0003-sender.pcap", "reno-extra-0005-sender.pcap",
+                  "reno-0005-notes.txt"]
+        for name in others:
+            (corpus / name).write_bytes(b"kept")
+        assert main(["corpus", str(corpus), "--implementations", "reno",
+                     "--per-implementation", "1", "--size", "10240"]) == 0
+        assert sorted(p.name for p in corpus.iterdir()) == sorted(
+            others + ["reno-0000-receiver.pcap", "reno-0000-sender.pcap"])
+
     def test_corpus_traces_readable(self, tmp_path):
         main(["corpus", str(tmp_path / "corpus"),
               "--per-implementation", "1", "--size", "10240"])
@@ -347,6 +371,33 @@ class TestBatchStream:
 
 
 class TestStartup:
+    @pytest.mark.parametrize("mode", [[], ["--stream"]])
+    def test_batch_parent_loads_neither_numpy_nor_the_analyzer(
+            self, tmp_path, mode):
+        """A `--jobs 2` parent only schedules work and moves result
+        lines: its workers load numpy and the analyzer, it never does
+        (a module once imported stays in ``sys.modules``)."""
+        transfer = cached_transfer("reno", "wan", data_size=10240)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_pcap(transfer.sender_trace, corpus / "reno-0000-sender.pcap")
+        write_pcap(transfer.receiver_trace,
+                   corpus / "reno-0000-receiver.pcap")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        probe = ("import sys; from repro.cli import main; "
+                 "code = main(sys.argv[1:]); "
+                 "print(code, *sorted(m for m in sys.modules if m in "
+                 "('numpy', 'repro.core', 'repro.stream')))")
+        run = subprocess.run(
+            [sys.executable, "-c", probe, "batch", str(corpus), "--jobs",
+             "2", "--no-journal", *mode],
+            env=env, capture_output=True, text=True, check=True)
+        *report, loaded = run.stdout.splitlines()
+        assert "traces analyzed: 2 (1 sender-side, 1 receiver-side)" \
+            in report
+        assert loaded.split() == ["0"]
+
     def test_import_loads_neither_serve_nor_analysis(self):
         """`batch` and friends start without the daemon stack or the
         plot code: each command imports those when it runs."""
