@@ -18,7 +18,7 @@ CI runs a reduced configuration via ``STREAM_BENCH_CONNECTIONS`` and
 ``STREAM_BENCH_SCALE``.
 
 The reader's read size is patched down to :data:`CHUNK_BYTES` so that
-both captures span many chunks.  At the shipped 4 MiB, one ``read()``
+both captures span many chunks.  At the shipped 1 MiB, one ``read()``
 of a capture smaller than a chunk allocates a full chunk before it
 shrinks to the file's size, and that transient is the peak of the
 streaming and the eager reader alike, which hides the property the
