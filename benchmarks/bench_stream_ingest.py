@@ -133,5 +133,5 @@ def test_stream_ingest_memory_and_fanout(tmp_path, monkeypatch):
     # Fan-out: one flow per synthesized connection.
     assert len(result["flows"]) == CONNECTIONS
     assert result["stats"].flows_opened == CONNECTIONS
-    assert sorted(len(f.records) for f in result["flows"]) \
+    assert sorted(f.packet_count for f in result["flows"]) \
         == result["truth_counts"]

@@ -11,7 +11,8 @@ Drives the real CLI in a subprocess the way an operator would:
    file is still growing;
 4. wait for an *identified* flow to appear in the JSONL sink — live
    analysis, no end-of-capture finalize involved;
-5. check ``/stats`` serves a sane snapshot;
+5. check ``/stats`` serves a sane snapshot, its per-flow rolling
+   aggregates included;
 6. SIGTERM, and require a clean drain: exit code 0, the drain banner
    on stdout, no traceback on stderr.
 
@@ -154,6 +155,11 @@ def main() -> None:
             fail(f"/stats snapshot missing {section!r}: {stats}", proc)
     if stats["counters"]["sink_lines"] < 1:
         fail(f"/stats reports no sink lines: {stats['counters']}", proc)
+    # The per-flow rolling aggregates, fed as each retired flow is
+    # submitted.
+    rolling = stats["rolling"]
+    if rolling["retransmission_samples"] < 1 or not rolling["close_reasons"]:
+        fail(f"/stats rolling aggregates empty: {rolling}", proc)
     print(f"serve_smoke: /stats ok — {stats['counters']}")
 
     # 5. The Prometheus endpoint agrees with /stats and reports the

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.packets import FlowKey
+from repro.packets import ACK, FIN, RST, SYN, FlowKey
 from repro.trace.record import Trace
 from repro.units import seq_diff, seq_ge, seq_gt
 
@@ -67,15 +67,20 @@ IDLE_THRESHOLD = 1.0
 
 
 def connection_stats(trace: Trace) -> ConnectionStats:
-    """Compute summary statistics over one connection's trace."""
-    if not trace.records:
-        raise ValueError("empty trace")
-    flow = trace.primary_flow()
-    reverse = flow.reversed()
-    stats = ConnectionStats(flow=flow)
+    """Compute summary statistics over one connection's trace.
 
-    records = trace.records
-    stats.duration = records[-1].timestamp - records[0].timestamp
+    One walk over the trace's columns as plain lists; no
+    ``TraceRecord`` is built.
+    """
+    if not len(trace):
+        raise ValueError("empty trace")
+    columns = trace.columns()
+    forward = columns.primary_flow_id()
+    reverse = columns.reverse_id(forward)
+    stats = ConnectionStats(flow=columns.flows[forward])
+
+    times = columns.timestamp.tolist()
+    stats.duration = times[-1] - times[0]
 
     highest_sent: int | None = None
     total_data_bytes = 0
@@ -85,48 +90,48 @@ def connection_stats(trace: Trace) -> ConnectionStats:
     pending: list[tuple[int, float]] = []   # (seq_end, first-send time)
     seen_starts: set[int] = set()
 
-    for record in records:
+    for now, fid, flags, seq, seq_end, ack, payload in zip(
+            times, columns.flow_ids.tolist(), columns.flags.tolist(),
+            columns.seq.tolist(), columns.seq_end.tolist(),
+            columns.ack.tolist(), columns.payload.tolist()):
         if previous_time is not None:
-            gap = record.timestamp - previous_time
+            gap = now - previous_time
             if gap > IDLE_THRESHOLD:
                 stats.idle_time += gap
-        previous_time = record.timestamp
+        previous_time = now
 
-        if record.flow == flow:
-            if record.is_syn:
+        if fid == forward:
+            if flags & SYN:
                 stats.syn_count += 1
-            if record.is_fin:
+            if flags & FIN:
                 stats.fin_seen = True
-            if record.is_rst:
+            if flags & RST:
                 stats.rst_seen = True
-            if record.payload > 0:
+            if payload > 0:
                 stats.total_data_packets += 1
-                total_data_bytes += record.payload
-                if record.seq in seen_starts or (
+                total_data_bytes += payload
+                if seq in seen_starts or (
                         highest_sent is not None
-                        and seq_gt(highest_sent, record.seq)):
+                        and seq_gt(highest_sent, seq)):
                     stats.retransmitted_packets += 1
                 else:
-                    pending.append((record.seq_end, record.timestamp))
-                seen_starts.add(record.seq)
-                if highest_sent is None or seq_gt(record.seq_end,
-                                                  highest_sent):
+                    pending.append((seq_end, now))
+                seen_starts.add(seq)
+                if highest_sent is None or seq_gt(seq_end, highest_sent):
                     if highest_sent is not None:
-                        stats.unique_bytes += seq_diff(record.seq_end,
+                        stats.unique_bytes += seq_diff(seq_end,
                                                        highest_sent)
                     else:
-                        stats.unique_bytes += record.payload
-                    highest_sent = record.seq_end
-                burst = [t for t in burst
-                         if record.timestamp - t <= BURST_WINDOW]
-                burst.append(record.timestamp)
+                        stats.unique_bytes += payload
+                    highest_sent = seq_end
+                burst = [t for t in burst if now - t <= BURST_WINDOW]
+                burst.append(now)
                 stats.max_burst = max(stats.max_burst, len(burst))
-        elif record.flow == reverse and record.has_ack \
-                and not record.is_syn:
+        elif fid == reverse and flags & ACK and not flags & SYN:
             stats.acks += 1
-            while pending and seq_ge(record.ack, pending[0][0]):
-                seq_end, sent_at = pending.pop(0)
-                rtt_samples.append(record.timestamp - sent_at)
+            while pending and seq_ge(ack, pending[0][0]):
+                _seq_end, sent_at = pending.pop(0)
+                rtt_samples.append(now - sent_at)
 
     if stats.duration > 0:
         stats.throughput = stats.unique_bytes / stats.duration

@@ -393,11 +393,11 @@ def _command_fuzz(args: argparse.Namespace) -> int:
 
 def _command_stats(args: argparse.Namespace) -> int:
     from repro.analysis.connstats import connection_stats
-    from repro.stream import demux_records, iter_pcap
+    from repro.stream import demux_packets, iter_pcap_columns
 
     # syn_only=False keeps connections already open when the capture
     # started; index order is first-appearance order.
-    flows = sorted(demux_records(iter_pcap(args.trace, strict=True),
+    flows = sorted(demux_packets(iter_pcap_columns(args.trace, strict=True),
                                  syn_only=False),
                    key=lambda flow: flow.index)
     print(f"{len(flows)} connection(s) in {args.trace}")

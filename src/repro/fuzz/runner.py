@@ -216,7 +216,7 @@ def evaluate_capture(path: str | FilePath,
 
     # 4-tuple reuse can split the connection across several flows;
     # the one carrying the most records is the connection proper.
-    flow_report = max(matching, key=lambda r: len(r.flow.records))
+    flow_report = max(matching, key=lambda r: r.flow.packet_count)
     if flow_report.error is not None:
         return (f"quarantined:{flow_report.error.kind}",
                 flow_report.error.message)

@@ -70,10 +70,10 @@ from repro.serve.governor import (
     BreakerBoard,
     ResourceGovernor,
 )
-from repro.serve.metrics import ServeMetrics, flow_retransmission_rate
+from repro.serve.metrics import ServeMetrics
 from repro.serve.scheduler import FlowScheduler, FlowWorkItem
 from repro.serve.sink import JsonlSink
-from repro.serve.tailer import DEFAULT_RECORDS_PER_POLL, CaptureTailer
+from repro.serve.tailer import CaptureTailer
 from repro.serve.watcher import SpoolWatcher
 from repro.stream import Flow
 
@@ -97,7 +97,6 @@ class ServeConfig:
     low_water: int = 8
     #: Seconds each loop tick blocks waiting for worker results.
     poll_interval: float = 0.2
-    records_per_poll: int = DEFAULT_RECORDS_PER_POLL
     #: Exit 0 once every source is quiet — the batch-comparison mode.
     exit_when_idle: bool = False
     quiet_seconds: float = 2.0
@@ -162,10 +161,7 @@ class ServeDaemon:
             suffix += 1
             source = f"{path.name}~{suffix}"
         self._sources.add(source)
-        tailer = CaptureTailer(
-            path, source=source,
-            records_per_poll=self.config.records_per_poll,
-            on_retire=self.metrics.observe_retirement)
+        tailer = CaptureTailer(path, source=source)
         self._tailers.append(tailer)
         self._by_path[path] = tailer
         return tailer
@@ -217,11 +213,13 @@ class ServeDaemon:
     # -- work routing ------------------------------------------------
 
     def _submit(self, source: str, flows: list[Flow]) -> None:
+        # Every retired flow passes here once, whichever path retired
+        # it (tail poll, eviction, shedding, rotation drain, finalize),
+        # so this is where the per-flow rolling aggregates are fed.
         implementation = true_implementation(source)
         for flow in flows:
             self.metrics.flows_submitted += 1
-            self.metrics.observe_retransmission_rate(
-                flow_retransmission_rate(flow.records))
+            self.metrics.observe_retirement(flow)
             replayed = self._scheduler.submit(
                 FlowWorkItem(source, flow, implementation=implementation))
             if replayed:

@@ -25,6 +25,7 @@ from collections import Counter, deque
 from typing import Callable
 
 from repro.analysis.connstats import connection_stats
+from repro.serve.governor import BREAKER_STATES, HEALTH_STATES
 from repro.trace.record import Trace
 
 #: Default sliding-window span for rolling aggregates (seconds).
@@ -142,12 +143,12 @@ class ServeMetrics:
             best = None
         self.identifications.observe(best or "(no close fit)")
 
-    def observe_retransmission_rate(self, rate: float) -> None:
-        self.retransmission_rates.observe(rate)
-
     def observe_retirement(self, flow) -> None:
-        """FlowTable ``on_retire`` hook: tally close reasons."""
+        """Account one retired flow: its close reason and its
+        retransmission rate (:func:`flow_retransmission_rate`)."""
         self.retirements.observe(flow.close_reason)
+        self.retransmission_rates.observe(
+            flow_retransmission_rate(flow.to_trace()))
 
     def to_dict(self) -> dict:
         """The ``/stats`` snapshot (JSON-safe, stable keys)."""
@@ -200,12 +201,6 @@ class ServeMetrics:
         }
 
 
-#: Governor health states, in ladder order (mirrors governor.py;
-#: duplicated here so rendering never imports the state machine).
-_HEALTH_STATES = ("healthy", "degraded", "shedding", "draining")
-_BREAKER_STATES = ("closed", "open", "half-open", "quarantined")
-
-
 def _label_escape(value: str) -> str:
     return value.replace("\\", r"\\").replace('"', r'\"') \
                 .replace("\n", r"\n")
@@ -248,12 +243,12 @@ def render_prometheus(snapshot: dict) -> str:
     emit("health_state", "gauge",
          "Governor degradation ladder (1 on the active state).",
          [(f'{{state="{s}"}}', 1 if s == state else 0)
-          for s in _HEALTH_STATES])
+          for s in HEALTH_STATES])
     breakers = health.get("breakers", {})
     samples = []
     for source in sorted(breakers):
         escaped = _label_escape(source)
-        for s in _BREAKER_STATES:
+        for s in BREAKER_STATES:
             samples.append((f'{{source="{escaped}",state="{s}"}}',
                             1 if breakers[source] == s else 0))
     if samples:
@@ -279,19 +274,18 @@ def render_prometheus(snapshot: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def flow_retransmission_rate(records) -> float:
+def flow_retransmission_rate(trace: Trace) -> float:
     """Fraction of a flow's data packets that were retransmissions.
 
     The data direction's ``retransmitted_packets`` over its
     ``total_data_packets``, both as ``connection_stats`` counts them:
     a data packet re-sending a seen start, or starting below the
-    highest byte already sent, is a retransmission.  An empty flow, or
-    one without data, gives 0.0.
+    highest byte already sent, is a retransmission.  An empty trace,
+    or one without data, gives 0.0.
     """
-    records = list(records)
-    if not records:
+    if not len(trace):
         return 0.0
-    stats = connection_stats(Trace(records=records))
+    stats = connection_stats(trace)
     if stats.total_data_packets == 0:
         return 0.0
     return stats.retransmitted_packets / stats.total_data_packets

@@ -39,7 +39,7 @@ from repro.stream import Flow, FlowTable, IncrementalPcapReader, IngestStats
 #: Records consumed from one source per poll; bounds the time a single
 #: busy capture can hold the daemon loop (and how far tailing can
 #: overshoot a backpressure pause).
-DEFAULT_RECORDS_PER_POLL = 4096
+RECORDS_PER_POLL = 4096
 
 #: Undecodable packets, with not one decoded record among them, after
 #: which a source is declared a decode storm and quarantined — valid
@@ -53,7 +53,6 @@ class CaptureTailer:
 
     def __init__(self, path: str | Path, source: str | None = None,
                  stats: IngestStats | None = None,
-                 records_per_poll: int = DEFAULT_RECORDS_PER_POLL,
                  **table_options):
         self.path = Path(path)
         #: The name flows of this capture are reported under
@@ -61,7 +60,6 @@ class CaptureTailer:
         #: the same name ``batch --stream`` would use for this file.
         self.source = source if source is not None else self.path.name
         self.stats = stats if stats is not None else IngestStats()
-        self.records_per_poll = records_per_poll
         self.reader = IncrementalPcapReader(self.path, stats=self.stats)
         # Deliberately the batch path's table defaults: any divergence
         # here would break live-vs-batch flow equivalence.
@@ -129,7 +127,7 @@ class CaptureTailer:
     def poll(self) -> list[Flow]:
         """Consume newly landed records; return newly completed flows.
 
-        Reads at most ``records_per_poll`` records, so one source
+        Reads at most :data:`RECORDS_PER_POLL` records, so one source
         cannot starve the rest of the daemon loop; the remainder is
         picked up by the next poll (``ingest_lag`` stays honest
         either way).
@@ -141,7 +139,7 @@ class CaptureTailer:
         completed: list[Flow] = []
         try:
             for packets in self.reader.poll_columns(
-                    limit=max(self.records_per_poll, 1)):
+                    limit=RECORDS_PER_POLL):
                 completed.extend(self.table.add_packets(packets))
                 self.records_consumed += len(packets)
         except ValueError as error:

@@ -19,8 +19,9 @@ Completed flows are handed back in birth order as plain
 :class:`Flow` objects, each holding its rows as a slice of the
 columns, whose ``to_trace()`` feeds straight into the existing
 ``analyze_trace`` machinery.  :meth:`FlowTable.add` and
-:func:`demux_records` are record adapters over the same table.  The
-table is clocked entirely by packet timestamps — no wall-clock
+:func:`demux_records` are record adapters over the same table; no
+production path calls them, and they stay because ``perfbench`` does.
+The table is clocked entirely by packet timestamps — no wall-clock
 dependence, so replaying a capture is deterministic.
 """
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -64,10 +65,6 @@ class ConnectionKey(NamedTuple):
             return cls(dst, src)
         return cls(src, dst)
 
-    @classmethod
-    def from_record(cls, record: TraceRecord) -> "ConnectionKey":
-        return cls.of(record.src, record.dst)
-
     def __str__(self) -> str:
         return f"{self.a} <-> {self.b}"
 
@@ -79,8 +76,7 @@ class Flow:
     The flow's packets are kept as row blocks: slices of the packet
     columns each batch of the capture decoded to, cut when the batch
     is done with (or the flow retires), so no flow keeps a whole batch
-    alive.  :meth:`packets` joins them; ``records`` builds
-    ``TraceRecord``s from them only for a caller that reads it.
+    alive.  :meth:`packets` joins them.
     """
 
     key: ConnectionKey
@@ -125,7 +121,12 @@ class Flow:
 
     @property
     def records(self) -> list[TraceRecord]:
-        """The flow's packets as records, built on each read."""
+        """The flow's packets as records, built on each read.
+
+        No production path reads it: every consumer takes
+        :meth:`packets` or :meth:`to_trace`.  It stays because
+        ``perfbench``'s tests read it.
+        """
         return self.packets().records()
 
     def to_trace(self, vantage: str = "", filter_name: str = "") -> Trace:
@@ -155,8 +156,7 @@ class FlowTable:
                  time_wait: float = DEFAULT_TIME_WAIT,
                  max_flows: int = DEFAULT_MAX_FLOWS,
                  syn_only: bool = True,
-                 stats: IngestStats | None = None,
-                 on_retire: Callable[[Flow], None] | None = None) -> None:
+                 stats: IngestStats | None = None) -> None:
         if max_flows < 1:
             raise ValueError(f"max_flows must be >= 1, not {max_flows}")
         self.idle_timeout = idle_timeout
@@ -164,11 +164,6 @@ class FlowTable:
         self.max_flows = max_flows
         self.syn_only = syn_only
         self.stats = stats if stats is not None else IngestStats()
-        # Invoked once per flow, at the moment it is retired (its
-        # close_reason already set).  Lets a live consumer — the serve
-        # tailer — react to completions without polling the return
-        # values of every add(); batch callers simply leave it unset.
-        self.on_retire = on_retire
         # Insertion order is maintained as least-recently-active first
         # (flows are re-inserted on every touch), so the front of the
         # dict is both the LRU eviction victim and the idlest flow.
@@ -181,7 +176,11 @@ class FlowTable:
         return len(self._flows)
 
     def add(self, record: TraceRecord) -> list[Flow]:
-        """Account one record; return flows completed by its arrival."""
+        """Account one record; return flows completed by its arrival.
+
+        A record adapter over :meth:`add_packets`, kept for
+        ``perfbench``'s input builder (no production path calls it).
+        """
         return self.add_packets(PacketColumns.from_records([record]))
 
     def add_packets(self, packets: PacketColumns) -> list[Flow]:
@@ -292,8 +291,6 @@ class FlowTable:
         flow.close_reason = reason
         del self._flows[flow.key]
         self.stats.flow_retired(reason)
-        if self.on_retire is not None:
-            self.on_retire(flow)
 
     def _expire(self, now: float) -> list[Flow]:
         """Retire flows whose time-wait or idle timeout has passed.
@@ -345,7 +342,11 @@ def demux_records(records: Iterable[TraceRecord],
                   stats: IngestStats | None = None,
                   **table_options) -> Iterator[Flow]:
     """Demultiplex a record stream into completed flows, lazily (an
-    adapter: the records go through :func:`demux_packets` in batches)."""
+    adapter: the records go through :func:`demux_packets` in batches).
+
+    No production path calls it; it stays because ``perfbench``'s
+    layer timings do.
+    """
     def batches() -> Iterator[PacketColumns]:
         table = EndpointTable()
         iterator = iter(records)

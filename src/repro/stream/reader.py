@@ -19,9 +19,8 @@ never treated as damage mid-stream — the reader rewinds to the record
 boundary (the **resume offset**) and retries once more bytes land.
 Only :meth:`IncrementalPcapReader.finalize_columns` applies the
 end-of-capture truncation semantics, which is what
-``iter_pcap_columns`` does implicitly at end of file.  :func:`iter_pcap`,
-:meth:`~IncrementalPcapReader.poll` and
-:meth:`~IncrementalPcapReader.finalize` are record adapters over them.
+``iter_pcap_columns`` does implicitly at end of file.  :func:`iter_pcap`
+is a record adapter over it.
 
 All anomalies are reported through an optional :class:`IngestStats`;
 callers that pass none simply get the clean records.
@@ -108,14 +107,14 @@ def parse_pcap_header(header: bytes, name: str = "") -> PcapHeader:
 class IncrementalPcapReader:
     """A pollable pcap decoder for captures that are still growing.
 
-    Each :meth:`poll` decodes every record that is *completely* on
-    disk and returns, leaving :attr:`resume_offset` at the first byte
+    Each :meth:`poll_columns` decodes every record that is *completely*
+    on disk and returns, leaving :attr:`resume_offset` at the first byte
     it could not fully consume.  A record whose per-packet header or
     payload bytes are only partially written is left pending — the
     next poll seeks back to the same offset and retries, so a tailer
     never mistakes an in-progress write for a damaged capture.
 
-    :meth:`finalize` declares end-of-capture: any still-pending
+    :meth:`finalize_columns` declares end-of-capture: any still-pending
     partial record is then given the historical ``iter_pcap``
     treatment (counted, warned about, and — when its headers survived
     — decoded without checksum verification and yielded).
@@ -262,11 +261,6 @@ class IncrementalPcapReader:
         stats.records_decoded += records - failed
         self._index += records
 
-    def poll(self) -> Iterator[TraceRecord]:
-        """:meth:`poll_columns`, one record at a time (an adapter)."""
-        for packets in self.poll_columns():
-            yield from packets.records()
-
     def finalize_columns(self) -> Iterator[PacketColumns]:
         """Declare end-of-capture; apply truncated-trailer semantics.
 
@@ -318,11 +312,6 @@ class IncrementalPcapReader:
         self.close()
         if record is not None:
             yield PacketColumns.from_records([record])
-
-    def finalize(self) -> Iterator[TraceRecord]:
-        """:meth:`finalize_columns`, as records (an adapter)."""
-        for packets in self.finalize_columns():
-            yield from packets.records()
 
     def _decode(self, data: bytes, seconds: int, micros: int,
                 expected: int) -> TraceRecord | None:
@@ -401,8 +390,12 @@ def iter_pcap(path: str | FilePath,
               addresses: AddressMap | None = None,
               stats: IngestStats | None = None,
               strict: bool = False) -> Iterator[TraceRecord]:
-    """:func:`iter_pcap_columns`, one :class:`TraceRecord` at a time:
-    the adapter for callers that want records."""
+    """:func:`iter_pcap_columns`, one :class:`TraceRecord` at a time.
+
+    No production path reads records from a pcap this way; the
+    adapter stays because ``perfbench`` (its input builder and its
+    layer timings) calls it.
+    """
     for packets in iter_pcap_columns(path, addresses=addresses,
                                      stats=stats, strict=strict):
         yield from packets.records()

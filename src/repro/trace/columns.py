@@ -229,8 +229,10 @@ def columns_of(trace: "Trace") -> "TraceColumns":
     """The columnar view of *trace*, built lazily and cached.
 
     A trace born from packet columns has them as its view's source.
-    A trace built from records gets its columns from them, and the
-    cache is invalidated when the record list's length changes:
+    A trace built from records (a simulated trace, or one
+    ``perfbench`` builds, which also calls this directly) gets its
+    columns from them, and the cache is invalidated when the record
+    list's length changes:
     records themselves are frozen, and every ``Trace`` in the library
     is built with its full record list before analysis starts, so
     length is a sufficient staleness guard.

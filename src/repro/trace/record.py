@@ -111,10 +111,12 @@ class Trace:
     — which, per §3.1.1, may be absent (None), accurate, or a lie.
     ``vantage`` names where the filter sat (e.g. ``"sender"``).
 
-    A trace is born either from records (``Trace(records=...)``) or
-    from packet columns (:meth:`from_columns`, the decode path); a
-    trace born from columns builds its ``records`` list only when
-    something first reads it (``records`` is a property over both).
+    A trace is born either from records (``Trace(records=...)``: the
+    simulator's traces, the fuzzer's record manglers and
+    ``perfbench``'s inputs) or from packet columns
+    (:meth:`from_columns`, the decode path); a trace born from columns
+    builds its ``records`` list only when something first reads it
+    (``records`` is a property over both).
     """
 
     records: list[TraceRecord] = field(default_factory=list)

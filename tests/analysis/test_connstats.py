@@ -2,10 +2,98 @@
 
 import pytest
 
-from repro.analysis.connstats import connection_stats
+from repro.analysis.connstats import (
+    BURST_WINDOW,
+    IDLE_THRESHOLD,
+    ConnectionStats,
+    connection_stats,
+)
+from repro.tcp.catalog import CATALOG
 from repro.trace.record import Trace
+from repro.units import seq_diff, seq_ge, seq_gt
 
 from tests.conftest import cached_transfer
+
+
+def record_loop_stats(trace: Trace) -> ConnectionStats:
+    """Oracle for ``connection_stats``: the per-record loop it replaced,
+    reading ``record.flow`` and the other record properties."""
+    if not trace.records:
+        raise ValueError("empty trace")
+    flow = trace.primary_flow()
+    reverse = flow.reversed()
+    stats = ConnectionStats(flow=flow)
+
+    records = trace.records
+    stats.duration = records[-1].timestamp - records[0].timestamp
+
+    highest_sent = None
+    total_data_bytes = 0
+    burst = []
+    previous_time = None
+    rtt_samples = []
+    pending = []   # (seq_end, first-send time)
+    seen_starts = set()
+
+    for record in records:
+        if previous_time is not None:
+            gap = record.timestamp - previous_time
+            if gap > IDLE_THRESHOLD:
+                stats.idle_time += gap
+        previous_time = record.timestamp
+
+        if record.flow == flow:
+            if record.is_syn:
+                stats.syn_count += 1
+            if record.is_fin:
+                stats.fin_seen = True
+            if record.is_rst:
+                stats.rst_seen = True
+            if record.payload > 0:
+                stats.total_data_packets += 1
+                total_data_bytes += record.payload
+                if record.seq in seen_starts or (
+                        highest_sent is not None
+                        and seq_gt(highest_sent, record.seq)):
+                    stats.retransmitted_packets += 1
+                else:
+                    pending.append((record.seq_end, record.timestamp))
+                seen_starts.add(record.seq)
+                if highest_sent is None or seq_gt(record.seq_end,
+                                                  highest_sent):
+                    if highest_sent is not None:
+                        stats.unique_bytes += seq_diff(record.seq_end,
+                                                       highest_sent)
+                    else:
+                        stats.unique_bytes += record.payload
+                    highest_sent = record.seq_end
+                burst = [t for t in burst
+                         if record.timestamp - t <= BURST_WINDOW]
+                burst.append(record.timestamp)
+                stats.max_burst = max(stats.max_burst, len(burst))
+        elif record.flow == reverse and record.has_ack \
+                and not record.is_syn:
+            stats.acks += 1
+            while pending and seq_ge(record.ack, pending[0][0]):
+                seq_end, sent_at = pending.pop(0)
+                rtt_samples.append(record.timestamp - sent_at)
+
+    if stats.duration > 0:
+        stats.throughput = stats.unique_bytes / stats.duration
+    if total_data_bytes > 0:
+        stats.goodput_ratio = stats.unique_bytes / total_data_bytes
+    if rtt_samples:
+        ordered = sorted(rtt_samples)
+        stats.rtt_min = ordered[0]
+        stats.rtt_median = ordered[len(ordered) // 2]
+        stats.rtt_max = ordered[-1]
+    return stats
+
+
+def assert_matches_record_loop(got: ConnectionStats,
+                               want: ConnectionStats) -> None:
+    assert got == want                  # every field, floats exactly
+    assert got.render() == want.render()
 
 
 class TestConnectionStats:
@@ -70,3 +158,35 @@ class TestConnectionStats:
         assert "51200 unique bytes" in text
         assert "rtt" in text
 
+
+
+class TestColumnWalkMatchesRecordLoop:
+    """``connection_stats`` walks columns; the record loop it replaced
+    (:func:`record_loop_stats`) must compute the same stats."""
+
+    @pytest.mark.parametrize("implementation", sorted(CATALOG))
+    def test_catalog_stacks_on_wan_lossy(self, implementation):
+        transfer = cached_transfer(implementation, "wan-lossy")
+        for trace in (transfer.sender_trace, transfer.receiver_trace):
+            assert_matches_record_loop(connection_stats(trace),
+                                       record_loop_stats(trace))
+
+    def test_every_flow_of_the_fuzz_captures(self, tmp_path):
+        from repro.fuzz.generator import iter_plans
+        from repro.fuzz.ingredients import render_pcap
+        from repro.fuzz.runner import build_capture
+        from repro.stream import demux_pcap
+
+        flows = 0
+        for plan in iter_plans(0, 60):
+            frames, addresses, _key, _impl = build_capture(plan)
+            path = tmp_path / f"plan-{plan.seed}.pcap"
+            path.write_bytes(render_pcap(frames))
+            for flow in demux_pcap(path, addresses=addresses):
+                # Two traces: the oracle's record reads must not feed
+                # the column walk.
+                assert_matches_record_loop(
+                    connection_stats(flow.to_trace()),
+                    record_loop_stats(flow.to_trace()))
+                flows += 1
+        assert flows >= 60

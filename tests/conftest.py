@@ -45,3 +45,20 @@ def reno_wan(transfer_factory) -> TracedTransfer:
 def reno_lossy(transfer_factory) -> TracedTransfer:
     """Reno over the lossy WAN path (has retransmissions)."""
     return transfer_factory("reno", "wan-lossy", seed=3)
+
+
+@pytest.fixture
+def record_builds(monkeypatch) -> list:
+    """Counts ``TraceRecord`` constructions in this process from here
+    on: one entry per record built."""
+    from repro.trace.record import TraceRecord
+
+    built = []
+    init = TraceRecord.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TraceRecord, "__init__", counting)
+    return built

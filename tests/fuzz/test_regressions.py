@@ -139,7 +139,7 @@ class TestSequenceWraparound:
         assert len(reports) == 1
         report = reports[0]
         assert report.error is None
-        assert len(report.flow.records) == len(trace)
+        assert len(report.flow.packets().records()) == len(trace)
 
 
 class TestRstExcludedFromAcks:

@@ -19,6 +19,7 @@ from repro.harness.faults import (
 )
 from repro.pipeline.runner import BatchItem, run_batch
 from repro.serve import FlowScheduler, JsonlSink, ServeConfig, ServeDaemon
+from repro.serve import tailer as tailer_module
 from repro.trace.pcap import write_pcap
 
 
@@ -81,6 +82,55 @@ class TestLiveBatchEquivalence:
         assert sink_lines(out, live_capture.name) == lines_before
 
 
+class TestParentAccounting:
+    def test_rolling_aggregates_count_each_submitted_flow(
+            self, tmp_path, monkeypatch):
+        """Flows retired mid-stream (idle) and at end of capture each
+        feed the rolling aggregates once."""
+        from collections import Counter
+
+        from repro.serve import flow_retransmission_rate
+
+        capture = generate_interleaved_capture(
+            ["reno", "tahoe"], connections=6, scenarios=("wan",),
+            data_size=4096, start_interval=80.0)
+        path = tmp_path / "spaced.pcap"
+        write_pcap(capture.trace, path)
+        submitted = []
+        submit = FlowScheduler.submit
+
+        def recording(self, item):
+            submitted.append(item.flow)
+            return submit(self, item)
+
+        monkeypatch.setattr(FlowScheduler, "submit", recording)
+        daemon = ServeDaemon(serve_config(tmp_path / "out",
+                                          captures=[path]))
+        assert daemon.run() == 0
+        rolling = daemon.metrics.to_dict()["rolling"]
+        reasons = Counter(flow.close_reason for flow in submitted)
+        assert set(reasons) == {"idle", "eof"}
+        assert rolling["close_reasons"] == dict(reasons)
+        assert rolling["retransmission_samples"] == len(submitted)
+        rates = [flow_retransmission_rate(flow.to_trace())
+                 for flow in submitted]
+        assert rolling["retransmission_rate_mean"] \
+            == sum(rates) / len(rates)
+
+    def test_parent_builds_no_records(self, live_capture, tmp_path,
+                                      record_builds):
+        """The parent demultiplexes rows and feeds its gauges from
+        columns; only the workers analyze, and they are other
+        processes."""
+        daemon = ServeDaemon(serve_config(tmp_path / "out",
+                                          captures=[live_capture]))
+        assert daemon.run() == 0
+        assert daemon.metrics.flows_completed == 4
+        assert daemon.metrics.to_dict()["rolling"][
+            "retransmission_samples"] == 4
+        assert record_builds == []
+
+
 class TestSpoolDiscovery:
     def test_dropped_capture_is_analyzed(self, live_capture, tmp_path):
         spool = tmp_path / "spool"
@@ -107,7 +157,8 @@ class TestSourceQuarantine:
 
 
 class TestBackpressure:
-    def test_slow_worker_pauses_tailing_then_recovers(self, tmp_path):
+    def test_slow_worker_pauses_tailing_then_recovers(self, tmp_path,
+                                                      monkeypatch):
         # Connections spaced 20s apart in stream time: each closes and
         # the next connection's records push it past time-wait, so
         # flows retire *mid-stream* and queue on the single worker —
@@ -121,8 +172,9 @@ class TestBackpressure:
         plan = FaultPlan((FaultSpec(match=0, kind="hang",
                                     hang_seconds=0.6),))
         out = tmp_path / "out"
+        monkeypatch.setattr(tailer_module, "RECORDS_PER_POLL", 64)
         daemon = ServeDaemon(serve_config(
-            out, captures=[path], workers=1, records_per_poll=64,
+            out, captures=[path], workers=1,
             high_water=2, low_water=1, fault_plan=plan))
         assert daemon.run() == 0
         assert daemon.metrics.pause_events >= 1
@@ -237,7 +289,8 @@ class TestRotationPolicies:
 
 
 class TestDegradationLadder:
-    def test_memory_pressure_sheds_flows_and_recovers(self, tmp_path):
+    def test_memory_pressure_sheds_flows_and_recovers(self, tmp_path,
+                                                      monkeypatch):
         # Connections spaced out in stream time with a tiny poll
         # budget: several flows are live at once, tripping the
         # max_live_flows watchdog, which early-retires the oldest.
@@ -247,9 +300,9 @@ class TestDegradationLadder:
         path = tmp_path / "busy.pcap"
         write_pcap(capture.trace, path)
         out = tmp_path / "out"
+        monkeypatch.setattr(tailer_module, "RECORDS_PER_POLL", 64)
         daemon = ServeDaemon(serve_config(
-            out, captures=[path], records_per_poll=64,
-            max_live_flows=1))
+            out, captures=[path], max_live_flows=1))
         assert daemon.run() == 0
         assert daemon.metrics.flows_shed >= 1
         # Shedding split no work away: every record of every flow is

@@ -4,7 +4,7 @@ import pytest
 
 from repro.packets import ACK, Endpoint
 from repro.serve import RollingWindow, ServeMetrics, flow_retransmission_rate
-from repro.trace.record import TraceRecord
+from repro.trace.record import Trace, TraceRecord
 
 
 class FakeClock:
@@ -88,10 +88,14 @@ class TestServeMetrics:
         class FlowStub:
             close_reason = "fin"
 
+            def to_trace(self):
+                return Trace()
+
         metrics = ServeMetrics(clock=FakeClock())
         metrics.observe_retirement(FlowStub())
         metrics.observe_retirement(FlowStub())
         assert metrics.retirements.counts() == {"fin": 2}
+        assert metrics.retransmission_rates.values() == [0.0, 0.0]
 
 
 class TestFlowRetransmissionRate:
@@ -104,16 +108,19 @@ class TestFlowRetransmissionRate:
                            window=8192)
 
     def test_zero_without_data_packets(self):
-        assert flow_retransmission_rate([self.rec(0, payload=0)]) == 0.0
-        assert flow_retransmission_rate([]) == 0.0
+        assert flow_retransmission_rate(
+            Trace(records=[self.rec(0, payload=0)])) == 0.0
+        assert flow_retransmission_rate(Trace()) == 0.0
 
     def test_counts_resent_sequence_numbers(self):
         records = [self.rec(0), self.rec(512), self.rec(0), self.rec(1024)]
-        assert flow_retransmission_rate(records) == pytest.approx(0.25)
+        assert flow_retransmission_rate(Trace(records=records)) \
+            == pytest.approx(0.25)
 
     def test_directions_are_independent(self):
         forward = self.rec(0)
         backward = TraceRecord(timestamp=0.0, src=self.DST, dst=self.SRC,
                                seq=0, ack=0, flags=ACK, payload=512,
                                window=8192)
-        assert flow_retransmission_rate([forward, backward]) == 0.0
+        assert flow_retransmission_rate(
+            Trace(records=[forward, backward])) == 0.0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.serve import CaptureTailer
+from repro.serve import tailer as tailer_module
 from repro.trace.pcap import write_pcap
 from repro.trace.wire import AddressMap
 
@@ -36,7 +37,7 @@ class TestCaptureTailer:
         assert tailer.records_consumed == total
         assert tailer.ingest_lag == 0
         assert len(flows) == 1
-        assert len(flows[0].records) == total
+        assert len(flows[0].packets().records()) == total
 
     def test_partial_trailing_record_keeps_lag_honest(self, tmp_path,
                                                       capture_bytes):
@@ -55,11 +56,12 @@ class TestCaptureTailer:
         assert tailer.ingest_lag == 0
 
     def test_records_per_poll_bounds_one_poll(self, tmp_path,
-                                              capture_bytes):
+                                              capture_bytes, monkeypatch):
         data, total = capture_bytes
         path = tmp_path / "big.pcap"
         path.write_bytes(data)
-        tailer = CaptureTailer(path, records_per_poll=10)
+        monkeypatch.setattr(tailer_module, "RECORDS_PER_POLL", 10)
+        tailer = CaptureTailer(path)
         tailer.poll()
         assert tailer.records_consumed == 10
         assert tailer.ingest_lag > 0
@@ -205,4 +207,4 @@ class TestTailerFailureClassification:
         assert tailer.rotated
         flows = tailer.drain_open_flows()
         assert len(flows) == 1            # the half-tailed flow
-        assert flows[0].records
+        assert flows[0].packets().records()

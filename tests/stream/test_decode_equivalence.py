@@ -438,7 +438,7 @@ def test_columns_match_records_on_interleaved_captures(tmp_path):
 
 
 def test_stream_analysis_builds_records_only_where_read(tmp_path,
-                                                       monkeypatch):
+                                                       record_builds):
     """Decode, demux and column building build no ``TraceRecord``; a
     whole streamed analysis of a clean capture builds only the
     handshake records pass one reads (a sender flow's SYN and SYN-ACK,
@@ -446,18 +446,11 @@ def test_stream_analysis_builds_records_only_where_read(tmp_path,
     from repro.pipeline.runner import BatchItem, analyze_item_stream
     from repro.stream import demux_pcap
     from repro.trace.pcap import write_pcap
-    from repro.trace.record import TraceRecord
 
     path = tmp_path / "capture.pcap"
     write_pcap(interleaved_trace(), path)
-    built = []
-    init = TraceRecord.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(TraceRecord, "__init__", counting)
+    built = record_builds
+    built.clear()                 # count only from the decode on
     flows = list(demux_pcap(path))
     for flow in flows:
         flow.to_trace().columns()

@@ -76,7 +76,7 @@ class TestMultiConnectionFanOut:
         flows = demux_records(iter_pcap(path, addresses=addresses))
         for flow in flows:
             key = frozenset((flow.key.a, flow.key.b))
-            assert flow.records == eager[key].records
+            assert flow.packets().records() == eager[key].records
 
     def test_flows_match_ground_truth_clients(self, interleaved):
         capture, path, addresses = interleaved
@@ -87,7 +87,7 @@ class TestMultiConnectionFanOut:
             if endpoint.port >= 40000)
         truth_ports = sorted(f.client.port for f in capture.flows)
         assert demuxed_ports == truth_ports
-        demuxed_counts = sorted(len(f.records) for f in flows)
+        demuxed_counts = sorted(len(f.packets().records()) for f in flows)
         assert demuxed_counts == sorted(f.records for f in capture.flows)
 
     def test_each_flow_analyzes_like_a_single_capture(self, interleaved):

@@ -57,7 +57,7 @@ class TestLifecycle:
         flow, = completed
         assert flow.close_reason == "fin"
         assert flow.saw_syn
-        assert len(flow.records) == 6
+        assert len(flow.packets().records()) == 6
         assert stats.retired_by_reason == {"fin": 1}
 
     def test_rst_retires_after_time_wait(self):
@@ -83,7 +83,7 @@ class TestLifecycle:
         for i in (2, 0, 1):
             table.add(rec(float(i), client(i), SERVER, flags=SYN))
         flows = table.drain()
-        assert [f.records[0].src for f in flows] \
+        assert [f.packets().records()[0].src for f in flows] \
             == [client(2), client(0), client(1)]
         assert all(f.close_reason == "eof" for f in flows)
 
@@ -97,42 +97,44 @@ class TestLifecycle:
         assert [f.close_reason for f in completed] == ["fin"]
         flows = table.drain()
         assert len(flows) == 1
-        assert len(flows[0].records) == 1
+        assert len(flows[0].packets().records()) == 1
 
 
-class TestRetirementCallback:
-    """``on_retire`` fires once per retired flow, whatever the path —
-    the hook the serve daemon's rolling aggregates hang off."""
+class TestRetirementReturns:
+    """Every retired flow comes back from the call that retired it,
+    exactly once — what the serve daemon's per-flow aggregates count."""
 
-    def test_fires_on_teardown_retirement(self):
-        retired = []
-        table = FlowTable(on_retire=retired.append)
-        a = client(0)
-        for record in handshake(0.0, a, SERVER) + teardown(1.0, a, SERVER):
-            table.add(record)
-        # A later record pushes the closed flow past time-wait.
-        b = client(1)
-        table.add(rec(10.0, b, SERVER, flags=SYN))
-        assert len(retired) == 1
-        assert retired[0].close_reason == "fin"
+    def test_every_retired_flow_is_returned_exactly_once(self):
+        stats = IngestStats()
+        table = FlowTable(max_flows=3, idle_timeout=30.0, time_wait=2.0,
+                          stats=stats)
+        returned = []
+        # Flow 0 closes while flows 1 and 2 open.
+        for record in (handshake(0.0, client(0), SERVER)
+                       + teardown(1.0, client(0), SERVER)
+                       + handshake(1.5, client(1), SERVER)
+                       + handshake(1.6, client(2), SERVER)):
+            returned += table.add(record)
+        # Time-wait passes: flow 0 retires by teardown when flow 3
+        # opens.  Flow 4's SYN then exceeds the cap and evicts the
+        # least active flow, flow 1.
+        returned += table.add(rec(5.0, client(3), SERVER, flags=SYN))
+        returned += table.add(rec(5.1, client(4), SERVER, flags=SYN))
+        for i in (2, 3, 4):
+            returned += table.add(rec(20.0 + i, client(i), SERVER,
+                                      seq=1, payload=10))
+        # Flow 5 arrives after flow 2 has been idle 30 s; flow 3 is
+        # then shed and flows 4 and 5 drain at end of stream.
+        returned += table.add(rec(52.5, client(5), SERVER, flags=SYN))
+        returned += table.shed(1)
+        returned += table.drain()
 
-    def test_fires_on_drain_and_eviction(self):
-        retired = []
-        table = FlowTable(max_flows=2, on_retire=retired.append)
-        for i in range(3):
-            for record in handshake(float(i), client(i), SERVER):
-                table.add(record)
-        assert len(retired) == 1              # LRU eviction
-        assert retired[0].close_reason == "evicted"
-        table.drain()
-        assert len(retired) == 3
-        assert {flow.close_reason for flow in retired[1:]} == {"eof"}
-
-    def test_callback_is_optional(self):
-        table = FlowTable()
-        for record in handshake(0.0, client(0), SERVER):
-            table.add(record)
-        assert len(table.drain()) == 1        # no hook, no crash
+        assert [(f.index, f.close_reason) for f in returned] == [
+            (0, "fin"), (1, "evicted"), (2, "idle"), (3, "shed"),
+            (4, "eof"), (5, "eof")]
+        assert len({id(f) for f in returned}) == len(returned)
+        assert stats.flows_retired == stats.flows_opened == 6
+        assert table.live_flows == 0
 
 
 class TestOrphans:
@@ -164,7 +166,7 @@ class TestEviction:
         assert stats.flows_evicted == 3
         assert all(f.close_reason == "evicted" for f in evicted)
         # Oldest-first eviction order.
-        assert [f.records[0].src for f in evicted] \
+        assert [f.packets().records()[0].src for f in evicted] \
             == [client(0), client(1), client(2)]
 
     def test_activity_refreshes_lru_position(self):
@@ -174,7 +176,7 @@ class TestEviction:
         # Touch flow 0 so flow 1 becomes the LRU victim.
         table.add(rec(0.02, client(0), SERVER, seq=1, payload=10))
         evicted = table.add(rec(0.03, client(2), SERVER, flags=SYN))
-        assert [f.records[0].src for f in evicted] == [client(1)]
+        assert [f.packets().records()[0].src for f in evicted] == [client(1)]
 
     def test_peak_live_flows_tracked(self):
         stats = IngestStats()
@@ -220,7 +222,7 @@ class TestTeardownEdges:
         completed = table.add(rec(10.0, client(1), SERVER, flags=SYN))
         flow, = completed
         assert flow.close_reason == "rst"
-        assert len(flow.records) == 4
+        assert len(flow.packets().records()) == 4
 
     def test_syn_reuse_during_rst_time_wait(self):
         table = FlowTable(time_wait=60.0)
@@ -234,7 +236,7 @@ class TestTeardownEdges:
         assert [f.close_reason for f in completed] == ["rst"]
         flow, = table.drain()
         assert flow.saw_syn
-        assert len(flow.records) == 1
+        assert len(flow.packets().records()) == 1
 
     def test_data_after_closing_stays_attached(self):
         table = FlowTable(time_wait=2.0)
@@ -248,5 +250,5 @@ class TestTeardownEdges:
         completed = table.add(rec(10.0, client(1), SERVER, flags=SYN))
         flow, = completed
         assert flow.close_reason == "fin"
-        assert flow.records[-1].payload == 100
+        assert flow.packets().records()[-1].payload == 100
         assert flow.closing_at == pytest.approx(1.02)

@@ -17,6 +17,11 @@ from repro.packets import ACK, SYN, Endpoint
 from tests.conftest import cached_transfer
 
 
+def records_of(batches) -> list[TraceRecord]:
+    """The records of a reader's column batches, in order."""
+    return [record for packets in batches for record in packets.records()]
+
+
 @pytest.fixture
 def wan_trace():
     return cached_transfer("reno").sender_trace
@@ -157,14 +162,14 @@ class TestIncrementalReader:
         path.write_bytes(data[:cut])
         stats = IngestStats()
         reader = IncrementalPcapReader(path, stats=stats)
-        records = list(reader.poll())
+        records = records_of(reader.poll_columns())
         assert len(records) == len(wan_trace) - 1
         assert stats.truncated_records == 0   # pending, not truncated
         assert reader.resume_offset < cut     # parked before the partial
         # The rest of the record lands: the same offset now parses.
         with open(path, "ab") as handle:
             handle.write(data[cut:])
-        records.extend(reader.poll())
+        records.extend(records_of(reader.poll_columns()))
         assert len(records) == len(wan_trace)
         assert reader.resume_offset == len(data)
         reader.close()
@@ -181,8 +186,8 @@ class TestIncrementalReader:
         for start in range(0, len(data), 700):
             with open(path, "ab") as handle:
                 handle.write(data[start:start + 700])
-            records.extend(reader.poll())
-        records.extend(reader.finalize())
+            records.extend(records_of(reader.poll_columns()))
+        records.extend(records_of(reader.finalize_columns()))
         reader.close()
         assert records == list(iter_pcap(whole, addresses=addresses))
 
@@ -207,9 +212,9 @@ class TestIncrementalReader:
             for start in range(0, len(data), step):
                 with open(path, "ab") as handle:
                     handle.write(data[start:start + step])
-                records.extend(reader.poll())
+                records.extend(records_of(reader.poll_columns()))
                 offsets.append(reader.resume_offset)
-            records.extend(reader.finalize())
+            records.extend(records_of(reader.finalize_columns()))
             reader.close()
             return records, stats.to_dict(), offsets
 
@@ -228,9 +233,9 @@ class TestIncrementalReader:
         path.write_bytes(data[:-10])      # final record cut mid-headers
         stats = IngestStats()
         reader = IncrementalPcapReader(path, stats=stats)
-        records = list(reader.poll())
+        records = records_of(reader.poll_columns())
         assert stats.truncated_records == 0
-        list(reader.finalize())
+        records_of(reader.finalize_columns())
         reader.close()
         assert len(records) == len(wan_trace) - 1
         assert stats.truncated_records == 1
@@ -239,10 +244,10 @@ class TestIncrementalReader:
     def test_file_may_not_exist_yet(self, wan_trace, tmp_path):
         path = tmp_path / "later.pcap"
         reader = IncrementalPcapReader(path)
-        assert list(reader.poll()) == []
+        assert records_of(reader.poll_columns()) == []
         assert reader.resume_offset == 0
         write_pcap(wan_trace, path)
-        assert len(list(reader.poll())) == len(wan_trace)
+        assert len(records_of(reader.poll_columns())) == len(wan_trace)
         reader.close()
 
     def test_bad_magic_raises_value_error(self, tmp_path):
@@ -250,7 +255,7 @@ class TestIncrementalReader:
         path.write_bytes(b"x" * 64)
         reader = IncrementalPcapReader(path)
         with pytest.raises(ValueError):
-            list(reader.poll())
+            records_of(reader.poll_columns())
         reader.close()
 
 

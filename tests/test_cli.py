@@ -460,6 +460,20 @@ class TestStatsCommand:
                    for records in connections]
         return "\n\n".join(blocks) + "\n"
 
+    def test_clean_capture_builds_no_records(self, tmp_path, capsys,
+                                             record_builds):
+        from repro.harness.corpus import generate_interleaved_capture
+
+        capture = generate_interleaved_capture(
+            ["reno", "linux-1.0"], connections=4,
+            scenarios=("wan", "wan-lossy"), data_size=8192)
+        path = tmp_path / "clean.pcap"
+        write_pcap(capture.trace, path)
+        record_builds.clear()         # count only what ``stats`` builds
+        assert main(["stats", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("4 connection(s)")
+        assert record_builds == []
+
     def test_two_connections_listed_with_their_records(self, tmp_path,
                                                        capsys):
         capture = interleave_traces(
