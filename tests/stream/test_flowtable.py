@@ -137,6 +137,36 @@ class TestRetirementReturns:
         assert table.live_flows == 0
 
 
+class TestRetirementCallback:
+    """The call that retires a flow hands it back to its caller, once,
+    whatever the path — where the serve daemon's rolling aggregates
+    now read retirements from, in place of a retirement hook."""
+
+    def test_fires_on_teardown_retirement(self):
+        retired = []
+        table = FlowTable()
+        a = client(0)
+        for record in handshake(0.0, a, SERVER) + teardown(1.0, a, SERVER):
+            retired += table.add(record)
+        # A later record pushes the closed flow past time-wait.
+        b = client(1)
+        retired += table.add(rec(10.0, b, SERVER, flags=SYN))
+        assert len(retired) == 1
+        assert retired[0].close_reason == "fin"
+
+    def test_fires_on_drain_and_eviction(self):
+        retired = []
+        table = FlowTable(max_flows=2)
+        for i in range(3):
+            for record in handshake(float(i), client(i), SERVER):
+                retired += table.add(record)
+        assert len(retired) == 1              # LRU eviction
+        assert retired[0].close_reason == "evicted"
+        retired += table.drain()
+        assert len(retired) == 3
+        assert {flow.close_reason for flow in retired[1:]} == {"eof"}
+
+
 class TestOrphans:
     def test_non_syn_stray_is_counted_not_admitted(self):
         stats = IngestStats()
