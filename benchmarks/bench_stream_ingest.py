@@ -10,7 +10,9 @@ one and one SCALE x longer — and measures:
   length (the O(1)-memory contract: large-capture peak < 2x the
   base-capture peak);
 * the eager ``read_pcap`` peak on the large capture, asserting it
-  dwarfs the streaming peak (an eager read must hold every record);
+  dwarfs the streaming peak (an eager read holds the capture's column
+  rows, about 50 B per record, while the streaming reader holds one
+  chunk);
 * demux fan-out: ``demux_pcap`` on the base capture yields exactly
   one flow per synthesized connection (50 in the full configuration).
 
@@ -124,7 +126,7 @@ def test_stream_ingest_memory_and_fanout(tmp_path, monkeypatch):
     ])
 
     # O(1) reader memory: a SCALE x longer capture must not move the
-    # streaming peak, while the eager read pays for every record.
+    # streaming peak, while the eager read pays a column row per record.
     assert result["streamed"] == result["eager"] \
         == result["large_records"]
     assert result["large_peak"] < 2 * result["base_peak"]

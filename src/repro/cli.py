@@ -22,17 +22,18 @@ Subcommands:
     Generate a trace corpus (pcap pairs per implementation), the
     synthetic analogue of the paper's Table 1 data set; with
     ``--analyze``, run ``batch`` over the written directory (same
-    results, same cache entries).
+    results, no journal).
 
-``batch CORPUS_DIR [--jobs N] [--cache DIR] [--jsonl OUT] [--stream]
-[--timeout S] [--retries N] [--journal PATH] [--resume]``
+``batch CORPUS_DIR [--jobs N] [--jsonl OUT] [--stream] [--timeout S]
+[--retries N] [--journal PATH | --no-journal] [--resume]``
     Batch-analyze every pcap in a corpus directory across supervised
-    worker processes, with an optional on-disk result cache, per-trace
-    JSONL output, and a Table-1-style aggregate report.  Pathological
-    traces are quarantined (classified ``error_kind`` payloads) rather
-    than aborting the run: worker crashes are retried then quarantined,
-    per-trace timeouts kill quasi-hung analyses, and a checkpoint
-    journal makes an interrupted run resumable with ``--resume``.
+    worker processes, with per-trace JSONL output and a Table-1-style
+    aggregate report.  Pathological traces are quarantined (classified
+    ``error_kind`` payloads) rather than aborting the run: worker
+    crashes are retried then quarantined, per-trace timeouts kill
+    quasi-hung analyses, and a checkpoint journal makes an interrupted
+    run resumable with ``--resume``, which is also how a warm re-run
+    reuses every unchanged trace's results.
     With ``--stream``, each capture goes through the streaming ingest
     + flow-demux path and multi-connection captures fan out into
     per-connection results.
@@ -305,18 +306,12 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 def _batch_run(items, args, journal=None) -> int:
     """Shared tail of ``batch`` and ``corpus --analyze``."""
-    from repro.pipeline import (
-        ResultCache,
-        aggregate_report,
-        run_batch,
-        write_jsonl,
-    )
-    cache = ResultCache(args.cache) if args.cache else None
+    from repro.pipeline import aggregate_report, run_batch, write_jsonl
     timeout = getattr(args, "timeout", None)
     if timeout is not None and timeout <= 0:
         timeout = None   # --timeout 0: no budget, plain in-process path
     try:
-        batch = run_batch(items, jobs=args.jobs, cache=cache,
+        batch = run_batch(items, jobs=args.jobs,
                           stream=getattr(args, "stream", False),
                           timeout=timeout,
                           retries=getattr(args, "retries", 2),
@@ -335,6 +330,9 @@ def _command_batch(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.pipeline import BatchJournal, corpus_items
+    if args.resume and args.no_journal:
+        raise ValueError("--resume replays the journal; it cannot be "
+                         "combined with --no-journal")
     items = corpus_items(args.corpus_dir)
     journal = None
     if not args.no_journal:
@@ -486,8 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "`tcpanaly batch` would (no journal)")
     corpus.add_argument("--jobs", type=int, default=1,
                         help="worker processes for --analyze")
-    corpus.add_argument("--cache", default=None,
-                        help="result-cache directory for --analyze")
     corpus.add_argument("--jsonl", default=None,
                         help="per-trace JSONL output for --analyze")
     corpus.set_defaults(handler=_command_corpus)
@@ -499,9 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--jobs", type=int, default=1,
                        help="worker processes (1 = sequential, "
                        "deterministic execution order)")
-    batch.add_argument("--cache", default=None,
-                       help="on-disk result cache directory (keyed by "
-                       "trace content hash + catalog version)")
     batch.add_argument("--jsonl", default=None,
                        help="write per-trace results as JSON Lines")
     batch.add_argument("--stream", action="store_true",
@@ -649,7 +642,8 @@ def main(argv: list[str] | None = None) -> int:
         # Ctrl-C is a deliberate stop, not a crash: one line, no
         # traceback, and the conventional 128+SIGINT exit code.  A
         # journaled batch can pick up exactly where it stopped.
-        hint = " — resume with --resume" if args.command == "batch" else ""
+        journaled = args.command == "batch" and not args.no_journal
+        hint = " — resume with --resume" if journaled else ""
         print(f"tcpanaly: interrupted{hint}", file=sys.stderr)
         return 130
     except (OSError, ValueError) as error:

@@ -93,9 +93,8 @@ class TraceReport:
         """A JSON-serializable summary of the whole report.
 
         Deterministic for a given trace and catalog — the batch
-        pipeline writes exactly this to its JSONL output and result
-        cache, so parallel, sequential, and cached runs agree
-        byte-for-byte.
+        pipeline writes exactly this to its JSONL output and journal,
+        so parallel, sequential, and resumed runs agree byte-for-byte.
         """
         calibration = self.calibration
         summary: dict = {

@@ -9,16 +9,16 @@ stringified exception:
 ``decode``
     The input was not an analyzable trace: bad pcap magic, truncated
     framing, malformed TCP, an empty capture.  Deterministic — the
-    same bytes fail the same way, so these payloads are cacheable.
+    same bytes fail the same way, so these payloads are durable.
 ``io``
     The input could not be read at all: missing file, permission
     denied, a directory where a capture was expected.  Possibly
-    transient, never cached.
+    transient.
 ``model``
     The trace decoded but the analysis model blew up on it — a
     ``KeyError``, ``RecursionError``, arithmetic surprise, or any
     other defect the wild trace tickled.  Deterministic for a given
-    catalog, so cacheable, and the payload names the stage that died.
+    catalog, so durable, and the payload names the stage that died.
 ``timeout``
     The analysis exceeded its per-trace wall-clock budget and the
     supervisor killed it.
@@ -42,15 +42,16 @@ from typing import Iterable
 ERROR_KINDS = ("decode", "io", "model", "timeout", "crash", "cancelled")
 
 #: Kinds that may be transient, or depend on one run's timeout budget:
-#: never cached or journaled, so the next run (or a restarted daemon)
-#: retries them.
+#: the serve daemon never journals them, so a restarted daemon retries
+#: them.  Batch journals every outcome its workers return; a run
+#: without ``--resume`` retries them.
 TRANSIENT_KINDS = frozenset({"io", "timeout", "crash", "cancelled"})
 
 
 def is_durable(payloads: Iterable[dict]) -> bool:
     """True when no payload (or payload's parent fields) carries a
-    transient ``error_kind``: the one rule for whether a result may
-    be cached or journaled."""
+    transient ``error_kind``: the one rule for whether the serve
+    daemon may journal a result."""
     return all(payload.get("error_kind") not in TRANSIENT_KINDS
                for payload in payloads)
 

@@ -1,8 +1,7 @@
 """Parallel corpus batch analysis (the Table-1 scale substrate).
 
 ``run_batch`` fans the full per-trace pipeline (calibration plus
-sender/receiver identification) out across worker processes, with an
-on-disk result cache keyed by trace content and catalog version.
+sender/receiver identification) out across worker processes.
 ``write_jsonl`` and ``aggregate_report`` turn a batch into stable
 machine-readable results and a Table-1-style summary.
 
@@ -11,12 +10,14 @@ single trace can do: :class:`PoolSession` survives worker crashes
 and enforces per-trace timeouts, every failure is quarantined as a
 classified :class:`~repro.errors.AnalysisError` payload instead
 of aborting the batch, and :class:`BatchJournal` checkpoints completed
-items durably so an interrupted run resumes where it stopped.
+items durably so an interrupted run resumes where it stopped.  The
+journal is the one result store: entries are keyed by trace name and
+validated by content digest (:func:`file_digest` for a pcap,
+:func:`trace_digest` for a serve flow).
 """
 
 from repro.errors import ERROR_KINDS, AnalysisError, classify_exception
-from repro.pipeline.cache import ResultCache, file_digest, trace_digest
-from repro.pipeline.journal import BatchJournal
+from repro.pipeline.journal import BatchJournal, file_digest, trace_digest
 from repro.pipeline.lines import PayloadLine, encode_payload
 from repro.pipeline.report import aggregate_report, result_line, write_jsonl
 from repro.pipeline.resilience import (
@@ -42,7 +43,6 @@ __all__ = [
     "BatchResult",
     "PayloadLine",
     "PoolSession",
-    "ResultCache",
     "TraceResult",
     "aggregate_report",
     "analyze_item",

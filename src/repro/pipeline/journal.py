@@ -12,11 +12,15 @@ trace name, not completion time.  An entry is assembled from the
 lines the workers produced (:mod:`repro.pipeline.lines`), so
 recording one encodes no payload.
 
-Entries are keyed by item *name* and validated by content *digest*:
-a renamed or edited trace never reuses a stale entry.  A header line
-pins the catalog version, payload schema, and eager/stream mode — a
-journal written under any other configuration is discarded rather
-than resumed, since its payloads would not match a fresh run.
+Entries are keyed by item *name* and validated by content *digest*
+(:func:`file_digest` for a batch pcap, :func:`trace_digest` for a
+serve flow): a renamed or edited trace never reuses a stale entry, and
+byte-identical traces under two names keep one entry each, because a
+payload carries its trace's name and label.  A header line pins the
+catalog version, payload schema, and eager/stream mode — a journal
+written under any other configuration is discarded rather than
+resumed, since its payloads would not match a fresh run.  The journal
+is the one place ``batch`` and ``serve`` reuse results.
 
 The file itself is crash-tolerant: each record is flushed and fsynced
 as written, a torn trailing line (the write the crash interrupted) is
@@ -26,11 +30,11 @@ appends never land after a torn line.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
 
-from repro.pipeline.cache import ANALYSIS_SCHEMA_VERSION
 from repro.pipeline.lines import (
     PayloadLine,
     encode_payload,
@@ -38,8 +42,49 @@ from repro.pipeline.lines import (
     json_object,
 )
 from repro.tcp.catalog import catalog_version
+from repro.trace.record import Trace
 
 JOURNAL_FORMAT = 1
+
+#: Version of the analysis payload schema.  Bump whenever the payload
+#: shape or analysis semantics change (new fields, different scoring),
+#: so stale entries from older code cannot be resumed.
+ANALYSIS_SCHEMA_VERSION = 3
+
+
+def file_digest(path: str | Path) -> str:
+    """Content digest of a trace file on disk: batch's key for a pcap."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def trace_digest(trace: Trace) -> str:
+    """Content digest of an in-memory trace: serve's key for a
+    retired flow.
+
+    Hashes every record field the analyzers consume, so two traces
+    with identical records share a digest.  The fields are read from
+    the trace's packet columns, so no record is built; each row hashes
+    as the ``repr`` of its record's field tuple always did.
+    """
+    digest = hashlib.sha256()
+    digest.update(trace.vantage.encode())
+    packets = trace.packets()
+    names = [str(endpoint) for endpoint in packets.endpoints]
+    for row in zip(packets.timestamp.tolist(),
+                   [names[i] for i in packets.src.tolist()],
+                   [names[i] for i in packets.dst.tolist()],
+                   packets.seq.tolist(), packets.ack.tolist(),
+                   packets.flags.tolist(), packets.payload.tolist(),
+                   packets.window.tolist(),
+                   [None if mss < 0 else mss
+                    for mss in packets.mss_option.tolist()],
+                   packets.corrupted.tolist()):
+        digest.update(repr(row).encode())
+    return digest.hexdigest()
 
 
 class BatchJournal:

@@ -4,13 +4,12 @@ A worker serializes each payload it produces exactly once, into its
 canonical JSONL line (``json.dumps(payload, sort_keys=True)``), and
 ships the line together with the few fields the parent reads
 (:func:`parent_fields`).  The parent then only moves bytes: the JSONL
-file, the batch journal, the result cache and the serve sink are all
-assembled from lines by concatenation (:func:`json_object`), which is
-byte-equal to encoding the whole object, and the aggregate report,
-serve metrics and durability checks read the fields.  The parent
-encodes only payloads it creates itself (pool crash and timeout
-diagnoses, upfront quarantines) and those it replays from a resumed
-journal or a cache hit.
+file, the batch journal and the serve sink are all assembled from
+lines by concatenation (:func:`json_object`), which is byte-equal to
+encoding the whole object, and the aggregate report, serve metrics and
+durability checks read the fields.  The parent encodes only payloads
+it creates itself (pool crash and timeout diagnoses, upfront
+quarantines) and those it replays from a resumed journal.
 """
 
 from __future__ import annotations
@@ -82,9 +81,3 @@ def json_object(members: Iterable[tuple[str, str]]) -> str:
     """
     return "{" + ", ".join(f"{json.dumps(key)}: {text}"
                            for key, text in sorted(members)) + "}"
-
-
-def flows_document(lines: Iterable[PayloadLine]) -> str:
-    """A stream-mode cache entry, ``{"flows": [payload, ...]}``."""
-    return json_object([("flows", json_array(entry.line
-                                             for entry in lines))])

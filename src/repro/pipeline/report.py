@@ -28,7 +28,7 @@ def write_jsonl(results: list[TraceResult], path: str | Path) -> None:
 
     Lines are ordered by trace name and keys are sorted, so any two
     runs over the same corpus and catalog produce byte-identical
-    files regardless of job count or cache state.
+    files regardless of job count or resumption.
     """
     with open(path, "w") as handle:
         handle.writelines(f"{result.line}\n" for result in results)
@@ -173,8 +173,7 @@ def aggregate_report(batch: BatchResult) -> str:
                      f"{max(s.get('peak_live_flows', 0) for s in stats)}")
 
     lines.append("")
-    footer = (f"jobs: {batch.jobs}; cache: {batch.cache_hits} hit(s), "
-              f"{batch.cache_misses} miss(es)")
+    footer = f"jobs: {batch.jobs}; analyzed {batch.analyzed} item(s)"
     if batch.resumed:
         footer += f"; resumed {batch.resumed} item(s) from journal"
     lines.append(footer)

@@ -5,11 +5,12 @@ sender-side and ~20,000 receiver-side traces (Table 1).  This module
 is the scale substrate: it takes a corpus (a directory of pcap files,
 as the paper's packet-filter output was), runs the full per-trace
 pipeline (calibration plus sender- or receiver-side identification)
-on every file, and does so across ``--jobs`` worker processes with an
-optional on-disk result cache.  Capture bytes are the only input:
-``tcpanaly corpus --analyze`` runs this over the directory it just
-wrote, so its results and cache entries are those of
-``tcpanaly batch`` on that directory.
+on every file, and does so across ``--jobs`` worker processes.  Capture
+bytes are the only input: ``tcpanaly corpus --analyze`` runs this over
+the directory it just wrote, so its results are those of
+``tcpanaly batch`` on that directory.  Results are reused only through
+the checkpoint journal (:class:`~repro.pipeline.journal.BatchJournal`),
+keyed by trace name and content digest.
 
 The analysis units import the analyzer when they first run, so a
 ``--jobs N`` parent that only schedules work and moves result lines
@@ -18,7 +19,7 @@ never loads numpy or the analyzer; each worker loads them itself.
 Determinism contract: each trace's payload depends only on the trace
 content and the implementation catalog.  Results are returned sorted
 by trace name, so sequential runs (``jobs=1``), parallel runs, and
-warm-cache runs all produce byte-identical JSONL output.
+resumed runs all produce byte-identical JSONL output.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.errors import classify_exception, is_durable
-from repro.pipeline.cache import ResultCache, file_digest
-from repro.pipeline.journal import BatchJournal
+from repro.errors import classify_exception
+from repro.pipeline.journal import BatchJournal, file_digest
 from repro.pipeline.lines import (
     PayloadLine,
     encode_payload,
-    flows_document,
     json_object,
     parent_fields,
 )
@@ -73,14 +72,13 @@ class TraceResult:
     *line* is the payload's canonical JSONL line, encoded once by the
     worker that produced it, and *fields* the part of the payload the
     parent reads (:func:`~repro.pipeline.lines.parent_fields`).
-    *cache_hit* and *elapsed* describe this particular run and are
+    *elapsed* and *resumed* describe this particular run and are
     deliberately kept out of the payload.
     """
 
     name: str
     line: str
     fields: dict
-    cache_hit: bool = False
     elapsed: float = 0.0
     resumed: bool = False
 
@@ -97,13 +95,17 @@ def _result(entry: PayloadLine, **run) -> TraceResult:
 
 @dataclass
 class BatchResult:
-    """Everything a batch run produced, plus throughput accounting."""
+    """Everything a batch run produced, plus throughput accounting.
+
+    *analyzed* counts the items this run did not resume from its
+    journal (upfront ``io`` quarantines included), *resumed* those it
+    replayed.
+    """
 
     results: list[TraceResult] = field(default_factory=list)
     jobs: int = 1
     wall_time: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
+    analyzed: int = 0
     resumed: int = 0
 
     @property
@@ -229,7 +231,6 @@ def analyze_item_stream(item: BatchItem) -> list[PayloadLine]:
 
 
 def run_batch(items: list[BatchItem], jobs: int = 1,
-              cache: ResultCache | None = None,
               stream: bool = False,
               timeout: float | None = None,
               retries: int = 2,
@@ -237,27 +238,26 @@ def run_batch(items: list[BatchItem], jobs: int = 1,
               fault_plan: FaultPlan | None = None) -> BatchResult:
     """Run the analysis pipeline over *items* with *jobs* workers.
 
-    Cache hits are resolved up front in the parent process, so a
-    warm-cache run dispatches no analysis work at all.  ``jobs=1``
-    (without a timeout) is a plain in-process sequential loop — fully
-    deterministic execution order — for debugging; otherwise the
-    cache-miss set fans out over a :class:`PoolSession`, which
-    survives worker crashes (requeue with a *retries* budget, then
-    quarantine as ``error_kind: "crash"``) and kills analyses that
-    exceed the per-trace wall-clock *timeout* (quarantined as
-    ``error_kind: "timeout"``).
+    ``jobs=1`` (without a timeout) is a plain in-process sequential
+    loop — fully deterministic execution order — for debugging;
+    otherwise the items to analyze fan out over a
+    :class:`PoolSession`, which survives worker crashes (requeue with
+    a *retries* budget, then quarantine as ``error_kind: "crash"``)
+    and kills analyses that exceed the per-trace wall-clock *timeout*
+    (quarantined as ``error_kind: "timeout"``).
 
     An item whose file cannot even be digested is quarantined up
     front as ``error_kind: "io"`` and the rest of the batch runs.
 
     With *journal*, every completed item is checkpointed durably as it
     finishes; items already completed in a resumed journal are
-    replayed without re-analysis, and the final result set is
-    byte-identical to an uninterrupted run's.
+    replayed in the parent without re-analysis, so a fully journaled
+    run dispatches no analysis work at all, and the final result set
+    is byte-identical to an uninterrupted run's.
 
     With ``stream=True`` each capture goes through the streaming
     ingest + demux path and may yield several per-connection results;
-    cache entries are keyed separately from eager-mode entries.
+    the journal's header keeps stream and eager entries apart.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, not {jobs}")
@@ -277,18 +277,7 @@ def run_batch(items: list[BatchItem], jobs: int = 1,
                                               classify_exception(error))))
             upfront_failures += 1
             continue
-        if stream:
-            digest = f"stream:{digest}"
         digests[item.name] = digest
-        cached = cache.get(digest) if cache is not None else None
-        if cached is not None:
-            # A cache hit is parsed and re-encoded here: rare by
-            # design, so it keeps one result shape.
-            payloads = cached.get("flows", []) if stream else [cached]
-            for payload in payloads:
-                results.append(_result(encode_payload(payload),
-                                       cache_hit=True))
-            continue
         if journal is not None:
             lines = journal.lookup(item.name, digest)
             if lines is not None:
@@ -303,15 +292,8 @@ def run_batch(items: list[BatchItem], jobs: int = 1,
         # The workers encoded every payload: from here on the parent
         # only moves their lines and reads their fields.
         item = pending[index]
-        digest = digests[item.name]
-        # Journal first: the checkpoint must be durable before the
-        # (best-effort) cache write can fail or be interrupted.
         if journal is not None:
-            journal.record(item.name, digest, lines)
-        if cache is not None and is_durable(entry.fields
-                                            for entry in lines):
-            cache.put(digest, flows_document(lines) if stream
-                      else lines[0].line)
+            journal.record(item.name, digests[item.name], lines)
         for entry in lines:
             results.append(_result(entry, elapsed=elapsed))
 
@@ -339,6 +321,5 @@ def run_batch(items: list[BatchItem], jobs: int = 1,
     results.sort(key=lambda result: result.name)
     return BatchResult(results=results, jobs=jobs,
                        wall_time=time.perf_counter() - start,
-                       cache_hits=sum(r.cache_hit for r in results),
-                       cache_misses=len(pending) + upfront_failures,
+                       analyzed=len(pending) + upfront_failures,
                        resumed=resumed)

@@ -42,8 +42,7 @@ import zlib
 from typing import TYPE_CHECKING
 
 from repro.errors import AnalysisError, is_durable
-from repro.pipeline.cache import trace_digest
-from repro.pipeline.journal import BatchJournal
+from repro.pipeline.journal import BatchJournal, trace_digest
 from repro.pipeline.lines import PayloadLine, encode_payload
 from repro.pipeline.resilience import PoolSession, error_line, run_guarded
 from repro.serve.governor import BreakerBoard

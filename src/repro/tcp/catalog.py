@@ -248,9 +248,9 @@ def implementation_names() -> list[str]:
 def catalog_version() -> str:
     """A short digest of every known behavior.
 
-    Batch-analysis caches embed this in their keys, so editing any
-    behavior (or adding/removing one) invalidates previously cached
-    fits without manual cache busting.
+    The batch journal's header embeds this, so editing any behavior
+    (or adding/removing one) invalidates previously journaled fits
+    without manual clean-up.
     """
     import hashlib
     blob = "\n".join(f"{label}={CATALOG[label]!r}"

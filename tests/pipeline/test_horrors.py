@@ -178,7 +178,7 @@ class TestChaosEquivalenceGate:
                             journal=resumed_journal)
         resumed_journal.close()
         assert resumed.resumed == cut
-        assert resumed.cache_misses == len(items) - cut
+        assert resumed.analyzed == len(items) - cut
         out = tmp_path / "resumed.jsonl"
         write_jsonl(resumed.results, out)
         expected = "".join(clean_lines[name] + "\n"

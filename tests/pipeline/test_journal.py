@@ -1,13 +1,21 @@
-"""Checkpoint journal: durability, validation, byte-identical resume."""
+"""Checkpoint journal: content digests, durability, validation,
+byte-identical resume."""
 
 import json
+import shutil
 
 import pytest
 
 from repro.harness.corpus import write_corpus
 from repro.pipeline import BatchJournal, corpus_items, run_batch, write_jsonl
-from repro.pipeline.cache import ANALYSIS_SCHEMA_VERSION
+from repro.pipeline.journal import (
+    ANALYSIS_SCHEMA_VERSION,
+    file_digest,
+    trace_digest,
+)
 from repro.pipeline.lines import encode_payload
+
+from tests.conftest import cached_transfer
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +36,24 @@ def clean_jsonl(corpus_dir, tmp_path_factory):
 
 def _lines(name: str) -> list:
     return [encode_payload({"trace": name})]
+
+
+class TestDigests:
+    def test_trace_digest_stable(self):
+        trace = cached_transfer("reno", data_size=10240).sender_trace
+        assert trace_digest(trace) == trace_digest(trace)
+
+    def test_trace_digest_distinguishes_traces(self):
+        transfer = cached_transfer("reno", data_size=10240)
+        assert trace_digest(transfer.sender_trace) \
+            != trace_digest(transfer.receiver_trace)
+
+    def test_file_digest_tracks_content(self, tmp_path):
+        path = tmp_path / "a.bin"
+        path.write_bytes(b"hello")
+        first = file_digest(path)
+        path.write_bytes(b"hello, world")
+        assert file_digest(path) != first
 
 
 class TestJournalMechanics:
@@ -125,7 +151,7 @@ class TestResume:
         resumed_journal.close()
         assert resumed.resumed == half
         # Only the incomplete items were re-analyzed.
-        assert resumed.cache_misses == len(items) - half
+        assert resumed.analyzed == len(items) - half
         out = tmp_path / "resumed.jsonl"
         write_jsonl(resumed.results, out)
         assert out.read_bytes() == clean_jsonl.read_bytes()
@@ -134,13 +160,17 @@ class TestResume:
                                                     clean_jsonl, tmp_path):
         items = corpus_items(corpus_dir)
         journal = BatchJournal(tmp_path / "j.jsonl")
-        run_batch(items, jobs=1, journal=journal)
+        cold = run_batch(items, jobs=1, journal=journal)
         journal.close()
+        assert cold.resumed == 0
+        assert cold.analyzed == len(items)
         resumed_journal = BatchJournal(tmp_path / "j.jsonl", resume=True)
         resumed = run_batch(items, jobs=1, journal=resumed_journal)
         resumed_journal.close()
         assert resumed.resumed == len(items)
-        assert resumed.cache_misses == 0
+        assert resumed.analyzed == 0
+        assert [r.payload for r in resumed.results] \
+            == [r.payload for r in cold.results]
         out = tmp_path / "resumed.jsonl"
         write_jsonl(resumed.results, out)
         assert out.read_bytes() == clean_jsonl.read_bytes()
@@ -163,7 +193,9 @@ class TestResume:
         finally:
             victim.write_bytes(data)
         assert resumed.resumed == len(items) - 1
-        assert resumed.cache_misses == 1
+        assert resumed.analyzed == 1
+        assert not next(r for r in resumed.results
+                        if r.name == items[0].name).resumed
 
     def test_stream_mode_resume_round_trips_fanout(self, tmp_path):
         from repro.harness.corpus import generate_interleaved_capture
@@ -184,12 +216,12 @@ class TestResume:
                          journal=resumed_journal)
         resumed_journal.close()
         assert warm.resumed == 1
+        assert warm.analyzed == 0
         assert [r.payload for r in warm.results] \
             == [r.payload for r in cold.results]
         assert len(warm.results) == 2   # one per connection
 
     def test_quarantined_items_are_journaled(self, corpus_dir, tmp_path):
-        import shutil
         mixed = tmp_path / "mixed"
         shutil.copytree(corpus_dir, mixed)
         (mixed / "bad.pcap").write_bytes(b"garbage")
@@ -201,6 +233,44 @@ class TestResume:
                             journal=resumed_journal)
         resumed_journal.close()
         # The decode failure was a completed outcome: not re-analyzed.
-        assert resumed.cache_misses == 0
+        assert resumed.analyzed == 0
         by_name = {r.name: r.payload for r in resumed.results}
         assert by_name["bad.pcap"]["error_kind"] == "decode"
+
+
+class TestReuseKeepsEveryName:
+    """Byte-identical traces under two names are two results: a payload
+    carries its trace's name and label, so reuse is keyed by name."""
+
+    @pytest.fixture(scope="class")
+    def twin_dir(self, corpus_dir, tmp_path_factory):
+        outdir = tmp_path_factory.mktemp("journal-twins")
+        for side in ("sender", "receiver"):
+            shutil.copy(corpus_dir / f"reno-0000-{side}.pcap", outdir)
+        shutil.copy(corpus_dir / "reno-0000-sender.pcap",
+                    outdir / "tahoe-0000-sender.pcap")
+        return outdir
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_resume_keeps_each_name_and_label(self, twin_dir, tmp_path,
+                                              stream):
+        items = corpus_items(twin_dir)
+        path = tmp_path / "j.jsonl"
+        with BatchJournal(path, stream=stream) as journal:
+            fresh = run_batch(items, jobs=1, stream=stream,
+                              journal=journal)
+        with BatchJournal(path, stream=stream, resume=True) as journal:
+            warm = run_batch(items, jobs=1, stream=stream,
+                             journal=journal)
+        assert warm.resumed == len(items)
+        assert warm.analyzed == 0
+        write_jsonl(fresh.results, tmp_path / "fresh.jsonl")
+        write_jsonl(warm.results, tmp_path / "warm.jsonl")
+        assert (tmp_path / "fresh.jsonl").read_bytes() \
+            == (tmp_path / "warm.jsonl").read_bytes()
+        lines = [json.loads(line) for line
+                 in (tmp_path / "warm.jsonl").read_text().splitlines()]
+        assert [(line["trace"], line["implementation"]) for line in lines] \
+            == [(item.name, item.implementation) for item in items]
+        assert ("tahoe-0000-sender.pcap", "tahoe") in \
+            [(line["trace"], line["implementation"]) for line in lines]

@@ -17,7 +17,7 @@ from repro.pipeline import (
     encode_payload,
     run_batch,
 )
-from repro.pipeline.lines import flows_document, json_object, parent_fields
+from repro.pipeline.lines import json_object, parent_fields
 from repro.pipeline.runner import TraceResult
 from repro.serve import ServeConfig, ServeDaemon
 from repro.trace.pcap import write_pcap
@@ -48,12 +48,6 @@ class TestAssembledBytes:
             entry = path.read_text().split("\n")[1]
         assert entry == json.dumps({"name": name, "digest": digest,
                                     "payloads": payloads}, sort_keys=True)
-
-    @settings(max_examples=100, deadline=None)
-    @given(payloads=st.lists(_payloads, max_size=4))
-    def test_stream_cache_document_equals_whole_encode(self, payloads):
-        document = flows_document([encode_payload(p) for p in payloads])
-        assert document == json.dumps({"flows": payloads}, sort_keys=True)
 
     @settings(max_examples=100, deadline=None)
     @given(payload=_payloads)
@@ -95,8 +89,7 @@ class TestParentFields:
         assert aggregate_report(batch) == aggregate_report(
             type(batch)(results=whole, jobs=batch.jobs,
                         wall_time=batch.wall_time,
-                        cache_hits=batch.cache_hits,
-                        cache_misses=batch.cache_misses))
+                        analyzed=batch.analyzed))
 
     def test_fields_keep_the_payload_shape(self):
         payload = {"trace": "t", "implementation": None, "records": 3,

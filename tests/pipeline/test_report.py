@@ -40,7 +40,7 @@ def _receiver(name, truth, close):
 
 def _batch(results):
     return BatchResult(results=results, jobs=1, wall_time=0.5,
-                       cache_hits=0, cache_misses=len(results))
+                       analyzed=len(results))
 
 
 class TestWriteJsonl:
@@ -85,5 +85,9 @@ class TestAggregate:
     def test_throughput_and_cache_lines(self):
         report = aggregate_report(_batch(
             [_sender("reno-0000-sender.pcap", "reno", "reno")]))
-        assert "cache: 0 hit(s), 1 miss(es)" in report
+        assert "\njobs: 1; analyzed 1 item(s)\n" in report
         assert "traces/sec" in report
+        resumed = _batch([_sender("reno-0000-sender.pcap", "reno", "reno")])
+        resumed.analyzed, resumed.resumed = 0, 1
+        assert "\njobs: 1; analyzed 0 item(s); resumed 1 item(s) from " \
+            "journal\n" in aggregate_report(resumed)

@@ -119,7 +119,7 @@ class TestSupervisedPoolHealthy:
         session.close()
         batch = run_batch([], jobs=2, timeout=60.0)
         assert batch.results == []
-        assert batch.cache_misses == 0
+        assert batch.analyzed == 0
 
 
 class TestCrashRecovery:
@@ -174,21 +174,6 @@ class TestTimeouts:
         healthy = {name: p for name, p in by_name.items() if name != victim}
         assert healthy == {name: p for name, p in clean_payloads.items()
                            if name != victim}
-
-    def test_timeout_quarantine_is_not_cached(self, corpus_dir, tmp_path):
-        from repro.pipeline import ResultCache
-        victim = sorted(p.name for p in corpus_items(corpus_dir))[0]
-        plan = FaultPlan(specs=(
-            FaultSpec(match=victim, kind="hang", hang_seconds=120.0),))
-        cache = ResultCache(tmp_path / "cache")
-        run_batch(corpus_items(corpus_dir), jobs=2, timeout=1.0,
-                  fault_plan=plan, cache=cache)
-        # Fault-free warm run: the victim must be re-analyzed (a miss),
-        # everything else served from cache.
-        warm = run_batch(corpus_items(corpus_dir), jobs=1, cache=cache)
-        assert warm.cache_misses == 1
-        by_name = {r.name: r.payload for r in warm.results}
-        assert "error" not in by_name[victim]
 
 
 class TestPoolSession:

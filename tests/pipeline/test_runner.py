@@ -1,10 +1,9 @@
-"""Batch runner: determinism, parallelism, caching, provenance."""
+"""Batch runner: determinism, parallelism, provenance."""
 
 import pytest
 
 from repro.harness.corpus import write_corpus
 from repro.pipeline import (
-    ResultCache,
     corpus_items,
     run_batch,
     true_implementation,
@@ -76,33 +75,6 @@ class TestRunBatch:
         assert (tmp_path / "seq.jsonl").read_bytes() \
             == (tmp_path / "par.jsonl").read_bytes()
 
-    def test_warm_cache_skips_all_analysis(self, corpus_dir, tmp_path):
-        items = corpus_items(corpus_dir)
-        cache = ResultCache(tmp_path / "cache")
-        cold = run_batch(items, jobs=1, cache=cache)
-        assert cold.cache_hits == 0
-        assert cold.cache_misses == len(items)
-        warm = run_batch(items, jobs=1, cache=cache)
-        assert warm.cache_hits == len(items)
-        assert warm.cache_misses == 0
-        assert [r.payload for r in warm.results] \
-            == [r.payload for r in cold.results]
-
-    def test_changed_trace_invalidates_only_itself(self, corpus_dir,
-                                                   tmp_path):
-        items = corpus_items(corpus_dir)
-        cache = ResultCache(tmp_path / "cache")
-        run_batch(items, jobs=1, cache=cache)
-        victim = items[0].path
-        data = victim.read_bytes()
-        victim.write_bytes(data + b"\x00" * 4)  # truncated trailing packet
-        try:
-            rerun = run_batch(corpus_items(corpus_dir), jobs=1, cache=cache)
-        finally:
-            victim.write_bytes(data)
-        assert rerun.cache_misses == 1
-        assert rerun.cache_hits == len(items) - 1
-
     def test_rejects_zero_jobs(self, corpus_dir):
         with pytest.raises(ValueError):
             run_batch(corpus_items(corpus_dir), jobs=0)
@@ -155,24 +127,6 @@ class TestStreamMode:
         write_jsonl(parallel.results, tmp_path / "par.jsonl")
         assert (tmp_path / "seq.jsonl").read_bytes() \
             == (tmp_path / "par.jsonl").read_bytes()
-
-    def test_stream_cache_round_trips_fanout(self, tmp_path):
-        from repro.harness.corpus import generate_interleaved_capture
-        from repro.trace.pcap import write_pcap
-        capture = generate_interleaved_capture(
-            implementations=["reno"], connections=2,
-            distinct_transfers=1, data_size=10240, scenarios=("wan",))
-        outdir = tmp_path / "caps"
-        outdir.mkdir()
-        write_pcap(capture.trace, outdir / "multi.pcap")
-        cache = ResultCache(tmp_path / "cache")
-        cold = run_batch(corpus_items(outdir), jobs=1, stream=True,
-                         cache=cache)
-        warm = run_batch(corpus_items(outdir), jobs=1, stream=True,
-                         cache=cache)
-        assert warm.cache_misses == 0
-        assert [r.payload for r in warm.results] \
-            == [r.payload for r in cold.results]
 
     def test_damaged_capture_yields_error_payload(self, tmp_path):
         outdir = tmp_path / "caps"

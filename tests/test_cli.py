@@ -155,20 +155,19 @@ class TestCorpusCommand:
         corpus = tmp_path / "corpus"
         analyzed = tmp_path / "corpus.jsonl"
         batched = tmp_path / "batch.jsonl"
-        cache = str(tmp_path / "cache")
         assert main(["corpus", str(corpus), "--implementations",
                      "reno,linux-1.0", "--per-implementation", "1",
                      "--size", "10240", "--analyze", "--jsonl",
-                     str(analyzed), "--cache", cache]) == 0
+                     str(analyzed)]) == 0
         corpus_out = capsys.readouterr().out
         assert main(["batch", str(corpus), "--no-journal", "--jsonl",
-                     str(batched), "--cache", cache]) == 0
+                     str(batched)]) == 0
         batch_out = capsys.readouterr().out
         assert analyzed.read_bytes() == batched.read_bytes()
-        assert "cache: 4 hit(s), 0 miss(es)" in batch_out
 
         def aggregate(out):
-            # The report minus the run's own cache and wall-clock footer.
+            # The report minus the run's own accounting and wall-clock
+            # footer.
             start = out.index("batch aggregate")
             return out[start:out.index("jobs: ", start)]
 
@@ -235,13 +234,33 @@ class TestBatchCommand:
                      "--jsonl", str(par)]) == 0
         assert seq.read_bytes() == par.read_bytes()
 
-    def test_warm_cache_reports_all_hits(self, corpus_dir, tmp_path,
-                                         capsys):
-        cache = str(tmp_path / "cache")
-        assert main(["batch", str(corpus_dir), "--cache", cache]) == 0
-        assert "cache: 0 hit(s), 4 miss(es)" in capsys.readouterr().out
-        assert main(["batch", str(corpus_dir), "--cache", cache]) == 0
-        assert "cache: 4 hit(s), 0 miss(es)" in capsys.readouterr().out
+    def test_warm_resume_reports_all_resumed(self, corpus_dir, tmp_path,
+                                             capsys):
+        journal = str(tmp_path / "j.jsonl")
+        assert main(["batch", str(corpus_dir), "--journal", journal]) == 0
+        out = capsys.readouterr().out
+        assert "jobs: 1; analyzed 4 item(s)\n" in out
+        assert main(["batch", str(corpus_dir), "--journal", journal,
+                     "--resume"]) == 0
+        assert "jobs: 1; analyzed 0 item(s); resumed 4 item(s) from " \
+            "journal\n" in capsys.readouterr().out
+
+    def test_resume_without_journal_exits_2(self, corpus_dir, capsys):
+        assert main(["batch", str(corpus_dir), "--no-journal",
+                     "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--no-journal" in captured.err
+
+    def test_interrupt_without_journal_has_no_resume_hint(
+            self, corpus_dir, monkeypatch, capsys):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("repro.pipeline.run_batch", interrupted)
+        assert main(["batch", str(corpus_dir), "--no-journal"]) == 130
+        assert capsys.readouterr().err == "tcpanaly: interrupted\n"
 
     def test_empty_directory_exits_2(self, tmp_path, capsys):
         assert main(["batch", str(tmp_path)]) == 2
@@ -346,17 +365,18 @@ class TestBatchStream:
                         if "accuracy" in line or "close-set" in line]
         assert "streaming ingest (4 capture(s))" in streamed
 
-    def test_stream_cache_separate_from_eager(self, corpus_dir, tmp_path,
-                                              capsys):
-        cache = str(tmp_path / "cache")
-        assert main(["batch", str(corpus_dir), "--cache", cache]) == 0
+    def test_stream_resume_separate_from_eager(self, corpus_dir, tmp_path,
+                                               capsys):
+        journal = str(tmp_path / "j.jsonl")
+        assert main(["batch", str(corpus_dir), "--journal", journal]) == 0
         capsys.readouterr()
-        assert main(["batch", str(corpus_dir), "--cache", cache,
-                     "--stream"]) == 0
-        assert "cache: 0 hit(s), 4 miss(es)" in capsys.readouterr().out
-        assert main(["batch", str(corpus_dir), "--cache", cache,
-                     "--stream"]) == 0
-        assert "cache: 4 hit(s), 0 miss(es)" in capsys.readouterr().out
+        assert main(["batch", str(corpus_dir), "--journal", journal,
+                     "--stream", "--resume"]) == 0
+        assert "jobs: 1; analyzed 4 item(s)\n" in capsys.readouterr().out
+        assert main(["batch", str(corpus_dir), "--journal", journal,
+                     "--stream", "--resume"]) == 0
+        assert "jobs: 1; analyzed 0 item(s); resumed 4 item(s) from " \
+            "journal\n" in capsys.readouterr().out
 
     def test_stream_jsonl_carries_flow_and_ingest(self, corpus_dir,
                                                   tmp_path, capsys):

@@ -25,8 +25,9 @@ from repro.trace.pcap import read_pcap, write_pcap
 TRACE_BYTES = 786432
 COPIES = 32
 # demux analyzes one connection in well under a second; interleave
-# several so the interrupt lands mid-analysis, not after it.
-DEMUX_CONNECTIONS = 16
+# several so the interrupt lands mid-analysis, not after it (16 took
+# 1.4 s on a 2-vCPU machine, inside the test's 1.5 s wait).
+DEMUX_CONNECTIONS = 48
 
 
 def run_cli(args, **kwargs):
@@ -37,6 +38,14 @@ def run_cli(args, **kwargs):
         [sys.executable, "-m", "repro.cli", *args],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True, **kwargs)
+
+
+def _journaled(journal: Path) -> int:
+    """Entries fully written to *journal* (its header excluded)."""
+    try:
+        return max(journal.read_text().count("\n") - 1, 0)
+    except FileNotFoundError:
+        return 0
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +77,12 @@ class TestBatchInterrupt:
         journal = tmp_path / "journal.jsonl"
         proc = run_cli(["batch", str(slow_corpus), "--jsonl", str(out),
                         "--jobs", "2", "--journal", str(journal)])
-        time.sleep(1.5)
+        # Interrupt as soon as one item is checkpointed, so the signal
+        # lands mid-flight whatever the machine's speed.
+        deadline = time.monotonic() + 60
+        while proc.poll() is None and time.monotonic() < deadline \
+                and _journaled(journal) < 1:
+            time.sleep(0.02)
         assert proc.poll() is None, \
             "batch finished before the interrupt landed; corpus too small"
         proc.send_signal(signal.SIGINT)
@@ -80,15 +94,15 @@ class TestBatchInterrupt:
 
         # The journal checkpointed some completed work before the
         # interrupt, and a --resume run finishes the rest cleanly.
-        completed = max(len(journal.read_text().splitlines()) - 1, 0)
+        completed = _journaled(journal)
+        assert 1 <= completed < COPIES
         resumed = run_cli(["batch", str(slow_corpus), "--jsonl", str(out),
                            "--jobs", "2", "--journal", str(journal),
                            "--resume"])
         stdout, stderr = resumed.communicate(timeout=300)
         assert resumed.returncode == 0, stderr
-        if completed:
-            assert f"resuming from {journal}: {completed} item(s)" in stdout
-            assert f"resumed {completed} item(s) from journal" in stdout
+        assert f"resuming from {journal}: {completed} item(s)" in stdout
+        assert f"resumed {completed} item(s) from journal" in stdout
         lines = out.read_text().splitlines()
         assert len(lines) == COPIES
         assert all("error" not in json.loads(line) for line in lines)
