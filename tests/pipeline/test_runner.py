@@ -1,9 +1,10 @@
-"""Batch runner: determinism, parallelism, provenance."""
+"""Batch runner: determinism, parallelism, reuse, provenance."""
 
 import pytest
 
 from repro.harness.corpus import write_corpus
 from repro.pipeline import (
+    BatchJournal,
     corpus_items,
     run_batch,
     true_implementation,
@@ -75,6 +76,40 @@ class TestRunBatch:
         assert (tmp_path / "seq.jsonl").read_bytes() \
             == (tmp_path / "par.jsonl").read_bytes()
 
+    def test_warm_cache_skips_all_analysis(self, corpus_dir, tmp_path):
+        items = corpus_items(corpus_dir)
+        path = tmp_path / "j.jsonl"
+        with BatchJournal(path) as journal:
+            cold = run_batch(items, jobs=1, journal=journal)
+        assert cold.resumed == 0
+        assert cold.analyzed == len(items)
+        with BatchJournal(path, resume=True) as journal:
+            warm = run_batch(items, jobs=1, journal=journal)
+        assert warm.resumed == len(items)
+        assert warm.analyzed == 0
+        assert [r.payload for r in warm.results] \
+            == [r.payload for r in cold.results]
+
+    def test_changed_trace_invalidates_only_itself(self, corpus_dir,
+                                                   tmp_path):
+        items = corpus_items(corpus_dir)
+        path = tmp_path / "j.jsonl"
+        with BatchJournal(path) as journal:
+            run_batch(items, jobs=1, journal=journal)
+        victim = items[0].path
+        data = victim.read_bytes()
+        victim.write_bytes(data + b"\x00" * 4)  # truncated trailing packet
+        try:
+            with BatchJournal(path, resume=True) as journal:
+                rerun = run_batch(corpus_items(corpus_dir), jobs=1,
+                                  journal=journal)
+        finally:
+            victim.write_bytes(data)
+        assert rerun.analyzed == 1
+        assert rerun.resumed == len(items) - 1
+        assert not next(r for r in rerun.results
+                        if r.name == items[0].name).resumed
+
     def test_rejects_zero_jobs(self, corpus_dir):
         with pytest.raises(ValueError):
             run_batch(corpus_items(corpus_dir), jobs=0)
@@ -127,6 +162,26 @@ class TestStreamMode:
         write_jsonl(parallel.results, tmp_path / "par.jsonl")
         assert (tmp_path / "seq.jsonl").read_bytes() \
             == (tmp_path / "par.jsonl").read_bytes()
+
+    def test_stream_cache_round_trips_fanout(self, tmp_path):
+        from repro.harness.corpus import generate_interleaved_capture
+        from repro.trace.pcap import write_pcap
+        capture = generate_interleaved_capture(
+            implementations=["reno"], connections=2,
+            distinct_transfers=1, data_size=10240, scenarios=("wan",))
+        outdir = tmp_path / "caps"
+        outdir.mkdir()
+        write_pcap(capture.trace, outdir / "multi.pcap")
+        path = tmp_path / "j.jsonl"
+        with BatchJournal(path, stream=True) as journal:
+            cold = run_batch(corpus_items(outdir), jobs=1, stream=True,
+                             journal=journal)
+        with BatchJournal(path, stream=True, resume=True) as journal:
+            warm = run_batch(corpus_items(outdir), jobs=1, stream=True,
+                             journal=journal)
+        assert warm.analyzed == 0
+        assert [r.payload for r in warm.results] \
+            == [r.payload for r in cold.results]
 
     def test_damaged_capture_yields_error_payload(self, tmp_path):
         outdir = tmp_path / "caps"
